@@ -31,6 +31,14 @@ python3 tools/validate_stats.py "$obs_tmp/a.json" \
 ./build/tools/sdfsim --device=sdf --workload=randread --request=8k \
     --duration=0.3 --stats-json="$obs_tmp/r.json" > /dev/null
 python3 tools/validate_stats.py "$obs_tmp/r.json"
+# The fault campaign: channel stalls are the one path where callback-free
+# resource occupancy (the simulator's horizon) outlasts every real event.
+./build/tools/sdfsim --workload=faults --stats-json="$obs_tmp/f1.json" \
+    --trace="$obs_tmp/f1.trace.json" > /dev/null
+./build/tools/sdfsim --workload=faults --stats-json="$obs_tmp/f2.json" \
+    --trace="$obs_tmp/f2.trace.json" > /dev/null
+cmp "$obs_tmp/f1.json" "$obs_tmp/f2.json"  # Same seed => byte-identical.
+cmp "$obs_tmp/f1.trace.json" "$obs_tmp/f2.trace.json"
 
 echo "== cluster smoke =="
 ./build/tools/sdfsim --workload=cluster --nodes=3 --replication=2 \
@@ -115,6 +123,10 @@ for eng in heap calendar; do
     ./build/tools/sdfsim --workload=cluster --nodes=3 --replication=2 \
         --duration=0.3 --engine="$eng" \
         --stats-json="$obs_tmp/xc-$eng.json" > /dev/null
+    # Fault campaign: stalls end on the horizon, not on a queued event.
+    ./build/tools/sdfsim --workload=faults --engine="$eng" \
+        --stats-json="$obs_tmp/xf-$eng.json" \
+        --trace="$obs_tmp/xf-$eng.trace.json" > /dev/null
     # The ycsb storm adds phased arrivals + cluster scans to the
     # cross-checked surface (per-phase p99s and SLO counters must be
     # byte-identical across engines too).
@@ -128,6 +140,8 @@ cmp "$obs_tmp/x-heap.json" "$obs_tmp/x-calendar.json"
 cmp "$obs_tmp/x-heap.trace.json" "$obs_tmp/x-calendar.trace.json"
 cmp "$obs_tmp/x-heap.series.json" "$obs_tmp/x-calendar.series.json"
 cmp "$obs_tmp/xc-heap.json" "$obs_tmp/xc-calendar.json"
+cmp "$obs_tmp/xf-heap.json" "$obs_tmp/xf-calendar.json"
+cmp "$obs_tmp/xf-heap.trace.json" "$obs_tmp/xf-calendar.trace.json"
 cmp "$obs_tmp/xy-heap.json" "$obs_tmp/xy-calendar.json"
 cmp "$obs_tmp/xy-heap.series.json" "$obs_tmp/xy-calendar.series.json"
 

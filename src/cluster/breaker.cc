@@ -12,25 +12,26 @@ FailSlowBreaker::FailSlowBreaker(uint32_t nodes, const BreakerConfig &cfg)
     SDF_CHECK(nodes > 0);
     SDF_CHECK(cfg_.trip_factor > cfg_.reset_factor);
     SDF_CHECK(cfg_.alpha > 0.0 && cfg_.alpha <= 1.0);
+    peers_.reserve(nodes);
 }
 
 double
-FailSlowBreaker::PeerMedian(uint32_t node) const
+FailSlowBreaker::PeerMedian(uint32_t node)
 {
     // Median over *other* nodes with enough history; a fleet-wide slowdown
     // (overload storm) raises the median and trips nobody — the breaker
-    // targets divergence, not load.
-    std::vector<double> peers;
-    peers.reserve(ewma_.size());
+    // targets divergence, not load. Runs on every RPC completion, so the
+    // peer list reuses one scratch buffer instead of allocating.
+    peers_.clear();
     for (uint32_t i = 0; i < ewma_.size(); ++i) {
         if (i != node && samples_[i] >= cfg_.min_samples) {
-            peers.push_back(ewma_[i]);
+            peers_.push_back(ewma_[i]);
         }
     }
-    if (peers.empty()) return 0.0;
-    const size_t mid = peers.size() / 2;
-    std::nth_element(peers.begin(), peers.begin() + mid, peers.end());
-    return peers[mid];
+    if (peers_.empty()) return 0.0;
+    const size_t mid = peers_.size() / 2;
+    std::nth_element(peers_.begin(), peers_.begin() + mid, peers_.end());
+    return peers_[mid];
 }
 
 void

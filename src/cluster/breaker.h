@@ -68,12 +68,13 @@ class FailSlowBreaker
     const Stats &stats() const { return stats_; }
 
   private:
-    double PeerMedian(uint32_t node) const;
+    double PeerMedian(uint32_t node);
 
     BreakerConfig cfg_;
     std::vector<double> ewma_;        ///< Smoothed service time, ns.
     std::vector<uint64_t> samples_;
     std::vector<uint8_t> open_;
+    std::vector<double> peers_;       ///< PeerMedian() scratch, reused.
     uint32_t open_count_ = 0;
     Stats stats_;
 };

@@ -37,6 +37,8 @@ Slice::Slice(sim::Simulator &sim, PatchStorage &storage, IdAllocator &ids,
         m.RegisterCounter(metric_prefix_ + ".flushes", &stats_.flushes);
         m.RegisterCounter(metric_prefix_ + ".compactions",
                           &stats_.compactions);
+        m.RegisterCounter(metric_prefix_ + ".compaction_aborts",
+                          &stats_.compaction_aborts);
         m.RegisterCounter(metric_prefix_ + ".compaction_bytes_read",
                           &stats_.compaction_bytes_read);
         m.RegisterCounter(metric_prefix_ + ".compaction_bytes_written",
@@ -614,12 +616,18 @@ Slice::CompactionWriteNext()
     // were never recorded, and its successor store has already reconciled
     // the device.
     if (detached_) return;
-    if (compaction_write_next_ == compaction_outputs_.size() &&
-        compaction_io_inflight_ == 0) {
-        FinishCompaction();
-        return;
+    if (compaction_io_inflight_ == 0) {
+        if (compaction_write_failed_) {
+            AbortCompaction();
+            return;
+        }
+        if (compaction_write_next_ == compaction_outputs_.size()) {
+            FinishCompaction();
+            return;
+        }
     }
-    while (compaction_io_inflight_ < config_.compaction_io_concurrency &&
+    while (!compaction_write_failed_ &&
+           compaction_io_inflight_ < config_.compaction_io_concurrency &&
            compaction_write_next_ < compaction_outputs_.size()) {
         const size_t i = compaction_write_next_++;
         ++compaction_io_inflight_;
@@ -628,8 +636,9 @@ Slice::CompactionWriteNext()
         if (buf) patch_images_[meta->id()] = buf;
         stats_.compaction_bytes_written += storage_.patch_bytes();
         storage_.PutPatch(meta->id(),
-                          [this](bool) {
+                          [this](bool ok) {
                               --compaction_io_inflight_;
+                              if (!ok) compaction_write_failed_ = true;
                               CompactionWriteNext();
                           },
                           buf ? buf->data() : nullptr,
@@ -694,12 +703,38 @@ Slice::FinishCompaction()
         patch_images_.erase(input->id());
     }
 
+    EndCompaction();
+    MaybeStartCompaction();
+}
+
+void
+Slice::AbortCompaction()
+{
+    // An output never reached flash (no space, dead channel, program
+    // failure). Installing the outputs would index keys whose only copy is
+    // missing, and dropping the inputs would lose them: keep the inputs
+    // indexed and journaled, and reclaim every output already written
+    // (deleting one whose write failed is a no-op).
+    ++stats_.compaction_aborts;
+    for (size_t i = 0; i < compaction_write_next_; ++i) {
+        const uint64_t id = compaction_outputs_[i]->id();
+        storage_.DeletePatch(id);
+        patch_images_.erase(id);
+    }
+    EndCompaction();
+    // No immediate retry: the level still holds its runs, so the next
+    // flush re-triggers the merge once space may have come back.
+}
+
+void
+Slice::EndCompaction()
+{
     compaction_inputs_.clear();
     compaction_buffers_.clear();
     compaction_outputs_.clear();
     compaction_out_bufs_.clear();
+    compaction_write_failed_ = false;
     compaction_active_ = false;
-    MaybeStartCompaction();
 }
 
 }  // namespace sdf::kv

@@ -64,6 +64,8 @@ struct SliceStats
     uint64_t deletes = 0;
     uint64_t flushes = 0;
     uint64_t compactions = 0;
+    /** Merges abandoned on a failed output write (inputs kept). */
+    uint64_t compaction_aborts = 0;
     uint64_t tombstones_dropped = 0;
     uint64_t compaction_bytes_read = 0;
     uint64_t compaction_bytes_written = 0;
@@ -196,6 +198,9 @@ class Slice
     void CompactionMergeAndWrite();
     void CompactionWriteNext();
     void FinishCompaction();
+    void AbortCompaction();
+    /** Reset the compaction job state (after finish or abort). */
+    void EndCompaction();
     void UpdateIndex(const PatchMeta &meta);
     void DoStorageGet(uint64_t key, GetCallback done, int attempts);
 
@@ -232,6 +237,8 @@ class Slice
     std::vector<std::shared_ptr<PatchMeta>> compaction_outputs_;
     std::vector<std::shared_ptr<std::vector<uint8_t>>> compaction_out_bufs_;
     size_t compaction_write_next_ = 0;
+    /** An output write failed: issue no more, abort once none in flight. */
+    bool compaction_write_failed_ = false;
     bool compaction_dropped_tombstones_ = false;
 
     SliceStats stats_;

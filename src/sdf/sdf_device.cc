@@ -237,46 +237,136 @@ SdfDevice::RetireAndRemap(uint32_t channel, uint32_t plane, uint32_t unit,
     return ftl::kUnmappedBlock;
 }
 
-void
-SdfDevice::ReadPageLadder(uint32_t channel, uint32_t unit, uint32_t plane,
-                          uint32_t block, uint32_t page_in_block,
-                          uint32_t level, TimeNs first_fail,
-                          std::function<void(IoStatus)> done,
-                          std::vector<uint8_t> *buf, obs::IoSpan *span)
+/**
+ * Per-request state of a Read(). Everything a page continuation needs
+ * beyond its own rung lives here, so the continuation itself captures
+ * only {device, state, page index, block, level, first_fail} and fits
+ * the completion's inline buffer: a timing-only read costs this one
+ * allocation whatever its length.
+ */
+struct SdfDevice::ReadState
 {
-    flash_->channel(channel).ReadPage(
-        nand::PageAddr{plane, block, page_in_block},
-        [this, channel, unit, plane, block, page_in_block, level, first_fail,
-         done = std::move(done), buf, span](nand::OpStatus status) mutable {
-            if (nand::IsOk(status)) {  // kOk or kOkErased (unprogrammed).
-                if (level > 0) {
-                    ++stats_.retry_recoveries;
-                    recovery_latencies_.Record(sim_.Now() - first_fail);
-                }
-                done(IoStatus());
-                return;
+    uint32_t channel;
+    uint32_t unit;
+    uint64_t offset;
+    uint32_t total_pages;
+    uint32_t flash_done = 0;
+    uint32_t transferred = 0;
+    IoStatus status;  ///< First page-level error wins.
+    IoCallback done;
+    std::vector<uint8_t> *out;
+    obs::IoSpan *span;
+    /** One sense buffer per page, only when the caller wants data. */
+    std::vector<std::vector<uint8_t>> page_bufs;
+
+    /** Plane holding page @p index of the request (2 MB plane stripes). */
+    uint32_t
+    PlaneOf(const nand::Geometry &geo, uint32_t index) const
+    {
+        const uint64_t byte_off = offset + uint64_t{index} * geo.page_size;
+        return static_cast<uint32_t>(byte_off / geo.BlockBytes());
+    }
+
+    /** Flash address of page @p index, which lives in @p block. */
+    nand::PageAddr
+    PageAt(const nand::Geometry &geo, uint32_t index, uint32_t block) const
+    {
+        const uint64_t byte_off = offset + uint64_t{index} * geo.page_size;
+        return nand::PageAddr{
+            PlaneOf(geo, index), block,
+            static_cast<uint32_t>((byte_off % geo.BlockBytes()) /
+                                  geo.page_size)};
+    }
+};
+
+void
+SdfDevice::ReadPageLadder(const std::shared_ptr<ReadState> &state,
+                          uint32_t index, uint32_t block, uint32_t level,
+                          TimeNs first_fail)
+{
+    // Single-page reads get the channel's fine cuts; a multi-page read is
+    // attributed by its critical path in Read().
+    obs::IoSpan *span = state->total_pages == 1 ? state->span : nullptr;
+    std::vector<uint8_t> *buf =
+        state->out ? &state->page_bufs[index] : nullptr;
+    auto on_sense = [this, state, index, block, level,
+                     first_fail](nand::OpStatus status) {
+        if (nand::IsOk(status)) {  // kOk or kOkErased (unprogrammed).
+            if (level > 0) {
+                ++stats_.retry_recoveries;
+                recovery_latencies_.Record(sim_.Now() - first_fail);
             }
-            if (status == nand::OpStatus::kChannelDead) {
-                done(IoError::kChannelDead);
-                return;
-            }
-            // BCH-uncorrectable: climb the retry-voltage ladder.
-            const TimeNs t0 = level == 0 ? sim_.Now() : first_fail;
-            if (level < config_.read_retry_levels) {
-                ++stats_.read_retries;
-                ReadPageLadder(channel, unit, plane, block, page_in_block,
-                               level + 1, t0, std::move(done), buf, span);
-                return;
-            }
-            // Ladder exhausted: data is lost; retire the block so future
-            // writes land on healthy flash. The host sees a typed error
-            // and must recover from a replica.
-            ++stats_.read_failures;
-            ++stats_.read_retirements;
-            RetireAndRemap(channel, plane, unit, block);
-            done(IoError::kReadUncorrectable);
-        },
+            ReadPageDone(state, index, IoStatus());
+            return;
+        }
+        if (status == nand::OpStatus::kChannelDead) {
+            ReadPageDone(state, index, IoError::kChannelDead);
+            return;
+        }
+        // BCH-uncorrectable: climb the retry-voltage ladder.
+        const TimeNs t0 = level == 0 ? sim_.Now() : first_fail;
+        if (level < config_.read_retry_levels) {
+            ++stats_.read_retries;
+            ReadPageLadder(state, index, block, level + 1, t0);
+            return;
+        }
+        // Ladder exhausted: data is lost; retire the block so future
+        // writes land on healthy flash. The host sees a typed error
+        // and must recover from a replica.
+        ++stats_.read_failures;
+        ++stats_.read_retirements;
+        RetireAndRemap(state->channel,
+                       state->PlaneOf(flash_->geometry(), index), state->unit,
+                       block);
+        ReadPageDone(state, index, IoError::kReadUncorrectable);
+    };
+    static_assert(sizeof(on_sense) <= nand::OpCallback::kInlineBytes,
+                  "the page continuation must not allocate");
+    flash_->channel(state->channel).ReadPage(
+        state->PageAt(flash_->geometry(), index, block), std::move(on_sense),
         buf, level, span);
+}
+
+void
+SdfDevice::ReadPageDone(const std::shared_ptr<ReadState> &state,
+                        uint32_t index, IoStatus st)
+{
+    const uint32_t page = flash_->geometry().page_size;
+    if (!st.ok() && state->status.ok()) state->status = st;
+    if (state->out && !state->page_bufs[index].empty()) {
+        const std::vector<uint8_t> &buf = state->page_bufs[index];
+        std::memcpy(state->out->data() + size_t{index} * page, buf.data(),
+                    std::min<size_t>(page, buf.size()));
+    }
+    PageOffFlash(state);
+}
+
+void
+SdfDevice::PageOffFlash(const std::shared_ptr<ReadState> &state)
+{
+    // DMA pages to the host in chunks as they come off the flash, so the
+    // PCIe transfer pipelines with the channel-bus reads (the controller
+    // stages data in its DDR3 buffers; §2.1).
+    const uint32_t page = flash_->geometry().page_size;
+    ++state->flash_done;
+    while (state->transferred < state->flash_done &&
+           (state->flash_done - state->transferred >= kChunkPages ||
+            state->flash_done == state->total_pages)) {
+        const uint32_t n =
+            std::min(kChunkPages, state->flash_done - state->transferred);
+        state->transferred += n;
+        const bool final_chunk = state->transferred == state->total_pages;
+        if (final_chunk && state->span != nullptr) {
+            state->span->Enter(obs::Stage::kLinkTransfer, sim_.Now());
+        }
+        link_->TransferToHost(
+            sim_.Now(), uint64_t{n} * page,
+            final_chunk ? sim::Callback([this, state]() {
+                              Complete(state->channel, std::move(state->done),
+                                       state->status, state->span);
+                          })
+                        : nullptr);
+    }
 }
 
 void
@@ -300,96 +390,45 @@ SdfDevice::Read(uint32_t channel, uint32_t unit, uint64_t offset,
     stats_.read_bytes += length;
     if (out) out->assign(length, 0);
 
-    struct ReadState
-    {
-        uint32_t total_pages;
-        uint32_t flash_done = 0;
-        uint32_t transferred = 0;
-        IoStatus status;  ///< First page-level error wins.
-        IoCallback done;
-        std::vector<uint8_t> *out;
-        obs::IoSpan *span;
-    };
     auto state = std::make_shared<ReadState>();
+    state->channel = channel;
+    state->unit = unit;
+    state->offset = offset;
     state->total_pages = pages;
     state->done = std::move(done);
     state->out = out;
     state->span = span;
+    if (out) state->page_bufs.resize(pages);
 
     // Everything until the engine picks the command up is queueing.
     if (span != nullptr) span->Enter(obs::Stage::kQueue, sim_.Now());
 
     ChannelEngine &ce = channels_[channel];
-    ce.engine->Submit(config_.engine_op_cost, [this, channel, unit, offset,
-                                               page, pages, state]() {
+    ce.engine->Submit(config_.engine_op_cost, [this, state]() {
         const nand::Geometry &geo2 = flash_->geometry();
-        const uint64_t block_bytes = geo2.BlockBytes();
-        ChannelEngine &ce2 = channels_[channel];
+        ChannelEngine &ce2 = channels_[state->channel];
 
         // A multi-page read pipelines planes, bus, and DMA; attribute its
         // critical path (flash until the last page, then the DMA tail).
         // Single-page reads instead get fine cuts inside Channel::ReadPage.
-        const bool fine_cuts = pages == 1;
-        if (state->span != nullptr && !fine_cuts) {
+        if (state->span != nullptr && state->total_pages != 1) {
             state->span->Enter(obs::Stage::kFlashOp, sim_.Now());
         }
 
-        // DMA pages to the host in chunks as they come off the flash, so
-        // the PCIe transfer pipelines with the channel-bus reads (the
-        // controller stages data in its DDR3 buffers; §2.1).
-        auto page_complete = [this, channel, page, state]() {
-            ++state->flash_done;
-            while (state->transferred < state->flash_done &&
-                   (state->flash_done - state->transferred >= kChunkPages ||
-                    state->flash_done == state->total_pages)) {
-                const uint32_t n = std::min(kChunkPages,
-                                            state->flash_done -
-                                                state->transferred);
-                state->transferred += n;
-                const bool final_chunk =
-                    state->transferred == state->total_pages;
-                if (final_chunk && state->span != nullptr) {
-                    state->span->Enter(obs::Stage::kLinkTransfer, sim_.Now());
-                }
-                link_->TransferToHost(
-                    sim_.Now(), uint64_t{n} * page,
-                    final_chunk
-                        ? sim::Callback([this, channel, state]() {
-                              Complete(channel, std::move(state->done),
-                                       state->status, state->span);
-                          })
-                        : nullptr);
-            }
-        };
-
-        for (uint32_t i = 0; i < pages; ++i) {
-            const uint64_t byte_off = offset + uint64_t{i} * page;
-            const auto plane = static_cast<uint32_t>(byte_off / block_bytes);
-            const auto page_in_block =
-                static_cast<uint32_t>((byte_off % block_bytes) / page);
-            const size_t out_pos = static_cast<size_t>(uint64_t{i} * page);
-            const uint32_t block = ce2.planes[plane].map->Lookup(unit);
+        for (uint32_t i = 0; i < state->total_pages; ++i) {
+            const uint32_t plane = state->PlaneOf(geo2, i);
+            const uint32_t block = ce2.planes[plane].map->Lookup(state->unit);
             if (block == ftl::kUnmappedBlock) {
                 // Unwritten unit: reads as erased flash (0xFF).
                 if (state->out) {
-                    std::memset(state->out->data() + out_pos, 0xFF, page);
+                    std::memset(state->out->data() +
+                                    size_t{i} * geo2.page_size,
+                                0xFF, geo2.page_size);
                 }
-                page_complete();
+                PageOffFlash(state);
                 continue;
             }
-            auto buf = state->out ? std::make_shared<std::vector<uint8_t>>()
-                                  : nullptr;
-            ReadPageLadder(
-                channel, unit, plane, block, page_in_block, 0, 0,
-                [state, buf, out_pos, page, page_complete](IoStatus st) {
-                    if (!st.ok() && state->status.ok()) state->status = st;
-                    if (state->out && buf && !buf->empty()) {
-                        std::memcpy(state->out->data() + out_pos, buf->data(),
-                                    std::min<size_t>(page, buf->size()));
-                    }
-                    page_complete();
-                },
-                buf.get(), fine_cuts ? state->span : nullptr);
+            ReadPageLadder(state, i, block, 0, 0);
         }
     });
 }
@@ -574,6 +613,16 @@ SdfDevice::EraseUnit(uint32_t channel, uint32_t unit, IoCallback done,
     });
 }
 
+/** Per-request state of a ScanUnit(): the per-page join. */
+struct SdfDevice::ScanState
+{
+    uint32_t channel;
+    uint32_t remaining;
+    uint64_t matched;
+    bool ok = true;
+    std::function<void(bool ok, uint64_t matched)> done;
+};
+
 void
 SdfDevice::ScanUnit(uint32_t channel, uint32_t unit, double selectivity,
                     std::function<void(bool ok, uint64_t matched)> done)
@@ -586,36 +635,24 @@ SdfDevice::ScanUnit(uint32_t channel, uint32_t unit, double selectivity,
         return;
     }
     const nand::Geometry &geo = flash_->geometry();
-    const uint32_t page = geo.page_size;
-    const uint64_t block_bytes = geo.BlockBytes();
-    const auto pages = static_cast<uint32_t>(unit_bytes_ / page);
+    const auto pages = static_cast<uint32_t>(unit_bytes_ / geo.page_size);
     const auto matched =
         static_cast<uint64_t>(static_cast<double>(unit_bytes_) * selectivity);
     stats_.page_reads += pages;
     stats_.read_bytes += matched;
 
+    auto state = std::make_shared<ScanState>();
+    state->channel = channel;
+    state->remaining = pages;
+    state->matched = matched;
+    state->done = std::move(done);
+
     ChannelEngine &ce = channels_[channel];
-    ce.engine->Submit(config_.engine_op_cost, [this, channel, unit, page,
-                                               pages, block_bytes, matched,
-                                               done = std::move(done)]() mutable {
-        ChannelEngine &ce2 = channels_[channel];
-        auto remaining = std::make_shared<uint32_t>(pages);
-        auto ok = std::make_shared<bool>(true);
-        auto finish = [this, channel, matched, remaining, ok,
-                       done = std::move(done)]() mutable {
-            if (--*remaining > 0) return;
-            // Only the matching bytes cross the PCIe link.
-            link_->TransferToHost(sim_.Now(), matched,
-                                  [this, channel, matched, ok,
-                                   done = std::move(done)]() mutable {
-                                      Complete(channel,
-                                               [done = std::move(done), ok,
-                                                matched](bool) {
-                                                   done(*ok, matched);
-                                               },
-                                               *ok);
-                                  });
-        };
+    ce.engine->Submit(config_.engine_op_cost, [this, unit, pages, state]() {
+        const nand::Geometry &geo2 = flash_->geometry();
+        const uint32_t page = geo2.page_size;
+        const uint64_t block_bytes = geo2.BlockBytes();
+        ChannelEngine &ce2 = channels_[state->channel];
         for (uint32_t i = 0; i < pages; ++i) {
             const uint64_t byte_off = uint64_t{i} * page;
             const auto plane = static_cast<uint32_t>(byte_off / block_bytes);
@@ -623,16 +660,29 @@ SdfDevice::ScanUnit(uint32_t channel, uint32_t unit, double selectivity,
                 static_cast<uint32_t>((byte_off % block_bytes) / page);
             const uint32_t block = ce2.planes[plane].map->Lookup(unit);
             if (block == ftl::kUnmappedBlock) {
-                finish();  // Unwritten plane stripe: nothing to scan.
+                // Unwritten plane stripe: nothing to scan.
+                ScanPageDone(state);
                 continue;
             }
-            flash_->channel(channel).ReadPage(
+            flash_->channel(state->channel).ReadPage(
                 nand::PageAddr{plane, block, page_in_block},
-                [ok, finish](nand::OpStatus status) mutable {
-                    if (!nand::IsOk(status)) *ok = false;
-                    finish();
+                [this, state](nand::OpStatus status) {
+                    if (!nand::IsOk(status)) state->ok = false;
+                    ScanPageDone(state);
                 });
         }
+    });
+}
+
+void
+SdfDevice::ScanPageDone(const std::shared_ptr<ScanState> &state)
+{
+    if (--state->remaining > 0) return;
+    // Only the matching bytes cross the PCIe link.
+    link_->TransferToHost(sim_.Now(), state->matched, [this, state]() {
+        Complete(state->channel,
+                 [state](bool) { state->done(state->ok, state->matched); },
+                 state->ok);
     });
 }
 

@@ -241,17 +241,29 @@ class SdfDevice : public BlockDevice
     /** Register pull-metrics with the simulator's hub, if one is set. */
     void RegisterMetrics();
 
+    struct ReadState;  ///< Per-request state of Read() (see the .cc).
+    struct ScanState;  ///< Per-request state of ScanUnit().
+
     /**
-     * One rung of the read-retry ladder: read the page at @p level; on
-     * kReadUncorrectable escalate up to config_.read_retry_levels, then
-     * retire the block and report kReadUncorrectable. @p first_fail is
-     * the sim time of the first failed sense (0 while level == 0).
+     * One rung of the read-retry ladder for page @p index of a Read():
+     * read the page at @p level; on kReadUncorrectable escalate up to
+     * config_.read_retry_levels, then retire the block and report
+     * kReadUncorrectable. @p first_fail is the sim time of the first
+     * failed sense (0 while level == 0).
      */
-    void ReadPageLadder(uint32_t channel, uint32_t unit, uint32_t plane,
-                        uint32_t block, uint32_t page_in_block, uint32_t level,
-                        TimeNs first_fail, std::function<void(IoStatus)> done,
-                        std::vector<uint8_t> *buf,
-                        obs::IoSpan *span = nullptr);
+    void ReadPageLadder(const std::shared_ptr<ReadState> &state,
+                        uint32_t index, uint32_t block, uint32_t level,
+                        TimeNs first_fail);
+
+    /** Page @p index settled with @p st: record it, copy its data out. */
+    void ReadPageDone(const std::shared_ptr<ReadState> &state, uint32_t index,
+                      IoStatus st);
+
+    /** One more page is off the flash: DMA every full chunk to the host. */
+    void PageOffFlash(const std::shared_ptr<ReadState> &state);
+
+    /** One scanned page settled; the last one ships the matches. */
+    void ScanPageDone(const std::shared_ptr<ScanState> &state);
 
     /**
      * Retire @p block (grown bad) in (@p channel, @p plane): mark it bad,

@@ -83,17 +83,25 @@ class FifoResource
      * never fit any inline buffer) is avoided and the common completion
      * stays allocation-free. Zero-cost work on an idle resource is done
      * *now* and rides the completion ring (no queue slot).
+     *
+     * A null completion (a plane's sense before its bus transfer, a NIC
+     * or bus occupied by work whose end is observed elsewhere, a stall)
+     * schedules nothing: it only extends the simulator's horizon, so
+     * Run() still advances the clock past this resource's busy period
+     * (utilization and duration accounting depend on it) without paying
+     * a queue slot and a dispatch for an event that runs no code.
      */
     void
     Complete(TimeNs end, Callback done)
     {
-        if (end == sim_.Now()) {
-            if (done) sim_.Post(std::move(done));
+        if (!done) {
+            sim_.ExtendHorizon(end);
             return;
         }
-        // Null completions still take a timed marker event: Run() must
-        // advance the clock past this resource's horizon (utilization and
-        // duration accounting depend on it).
+        if (end == sim_.Now()) {
+            sim_.Post(std::move(done));
+            return;
+        }
         sim_.ScheduleAt(end, std::move(done));
     }
 

@@ -363,6 +363,7 @@ Simulator::Run()
 {
     while (PopNext()) {
     }
+    AdvanceToHorizon();
 }
 
 bool
@@ -391,7 +392,10 @@ bool
 Simulator::RunWhileNot(const std::function<bool()> &predicate)
 {
     while (!predicate()) {
-        if (!PopNext()) return false;
+        if (!PopNext()) {
+            AdvanceToHorizon();
+            return false;
+        }
     }
     return true;
 }

@@ -26,6 +26,13 @@
  * with the timed queue. A completion that needs no further delay rides
  * the ring instead of paying for a queue slot — the PureFlash-style
  * polling seam the device, network and client layers batch through.
+ *
+ * Work that occupies simulated time but runs no code (a FifoResource
+ * busy with a null completion: a plane sensing before its bus transfer,
+ * a NIC serializing a request, a stalled channel) never enters either
+ * queue. It only raises the *horizon* (ExtendHorizon()), a single max
+ * the run loops advance the clock to once the queues drain, and which
+ * counts as pending work while it lies ahead of the clock.
  */
 #ifndef SDF_SIM_SIMULATOR_H
 #define SDF_SIM_SIMULATOR_H
@@ -126,34 +133,57 @@ class Simulator
      */
     void Post(Callback cb);
 
+    /**
+     * Declare that simulated activity runs until @p when without any
+     * callback at its end. Costs one max: no queue slot, no dispatch.
+     * The clock still reaches @p when — Run() and a drained
+     * RunWhileNot() advance Now() to the horizon — and until then it
+     * counts in PendingEvents() and in RunUntil()'s result, exactly like
+     * an empty event scheduled at @p when would (but it is not counted
+     * by events_processed()).
+     */
+    void
+    ExtendHorizon(TimeNs when)
+    {
+        if (when > horizon_) horizon_ = when;
+    }
+
     /** Cancel a pending event; no-op if already fired or invalid. */
     void Cancel(EventId id);
 
-    /** Run until the event queue is empty. */
+    /**
+     * Run until the event queue is empty, then advance the clock to the
+     * horizon if it lies beyond the last event.
+     */
     void Run();
 
     /**
      * Run all events with timestamp <= @p deadline, then advance the clock
      * to @p deadline.
-     * @return true if events remain pending after the deadline.
+     * @return true if events remain pending after the deadline (a horizon
+     *     beyond the deadline counts as pending).
      */
     bool RunUntil(TimeNs deadline);
 
     /**
      * Fire events one at a time until @p predicate() returns true or the
-     * queue drains.
+     * queue drains; a drained queue leaves the clock at the horizon.
      * @return true if the predicate was satisfied.
      */
     bool RunWhileNot(const std::function<bool()> &predicate);
 
-    /** Total events dispatched (for stats and microbenchmarks). */
+    /** Callbacks dispatched (for stats and microbenchmarks). */
     uint64_t events_processed() const { return events_processed_; }
 
-    /** Number of pending (uncancelled) events, including posted ones. */
+    /**
+     * Number of pending (uncancelled) events, including posted ones, plus
+     * one while the horizon lies ahead of the clock.
+     */
     size_t
     PendingEvents() const
     {
-        return live_count_ + (ring_.size() - ring_head_);
+        return live_count_ + (ring_.size() - ring_head_) +
+               (horizon_ > now_ ? 1 : 0);
     }
 
     /**
@@ -220,6 +250,12 @@ class Simulator
     /** Pop the timed-queue head (must exist) and fire it. */
     void FireTimedHead();
     void FireRingHead();
+    /** Drained queue: the clock catches up with the horizon. */
+    void
+    AdvanceToHorizon()
+    {
+        if (horizon_ > now_) now_ = horizon_;
+    }
 
     // ---- calendar engine ----
     void CalendarInsert(uint32_t slot_idx);
@@ -232,6 +268,8 @@ class Simulator
 
     EngineKind engine_;
     TimeNs now_ = 0;
+    /** Latest end of callback-free activity (see ExtendHorizon()). */
+    TimeNs horizon_ = 0;
     uint64_t next_seq_ = 1;
     uint64_t events_processed_ = 0;
     size_t live_count_ = 0;

@@ -10,6 +10,7 @@
 #include "blocklayer/block_layer.h"
 #include "kv/memtable.h"
 #include "kv/patch.h"
+#include "kv/recovery.h"
 #include "kv/slice.h"
 #include "kv/store.h"
 #include "sdf/sdf_device.h"
@@ -305,6 +306,83 @@ TEST(Slice, ScanSeesAllPatches)
                             [&](bool s) { ok = s; });
     f.sim.Run();
     EXPECT_TRUE(ok);
+}
+
+TEST(Slice, FailedCompactionWriteAbortsAndKeepsInputs)
+{
+    // Two flushes of eight 900 KiB keys each merge into two output
+    // patches. Mid-compaction every free unit except the first output's
+    // channel is filled, so that output lands and the second fails with
+    // kNoSpace. The merge must abort: inputs stay indexed and journaled,
+    // the landed output is reclaimed, and no acked key is lost.
+    SliceConfig cfg;
+    cfg.compaction_trigger = 2;
+    SliceFixture f(cfg);
+    SliceJournal journal;
+    f.slice = std::make_unique<Slice>(f.sim, f.storage, f.ids, cfg, &journal);
+
+    constexpr uint32_t kValue = 900 * 1024;
+    for (uint64_t k = 0; k < 8; ++k) f.slice->Put(k, kValue, nullptr);
+    f.slice->Flush();
+    f.sim.Run();
+    for (uint64_t k = 8; k < 16; ++k) f.slice->Put(k, kValue, nullptr);
+    f.slice->Flush();
+    f.sim.RunWhileNot([&]() { return f.slice->compaction_active(); });
+    ASSERT_TRUE(f.slice->compaction_active());
+    const std::vector<uint64_t> inputs = f.slice->AllPatchIds();
+    ASSERT_EQ(inputs.size(), 2u);
+
+    // The merge has not allocated its output ids yet: the next id is the
+    // first output's, and kIdHash placement puts it on id % channels.
+    const uint32_t channels = f.device.channel_count();
+    const uint64_t keep = f.ids.issued() % channels;
+    uint64_t filler = uint64_t{1} << 40;
+    for (uint32_t misses = 0; misses < channels; ++filler) {
+        if (filler % channels == keep) continue;
+        misses = f.storage.DebugInstallPatch(filler) ? 0 : misses + 1;
+    }
+    const uint64_t free_before = f.storage.FreePatchSlots();
+    const uint64_t deletes_before = f.layer.stats().deletes;
+    ASSERT_GT(free_before, 0u);
+    f.sim.Run();
+
+    EXPECT_EQ(f.slice->stats().compactions, 1u);
+    EXPECT_EQ(f.slice->stats().compaction_aborts, 1u);
+    EXPECT_FALSE(f.slice->compaction_active());
+    EXPECT_EQ(f.slice->AllPatchIds(), inputs);
+    ASSERT_EQ(journal.patches.size(), 2u);
+    for (uint64_t id : inputs) EXPECT_EQ(journal.patches.count(id), 1u);
+    // The output that did land was deleted again: its unit is free.
+    EXPECT_EQ(f.layer.stats().deletes, deletes_before + 1);
+    EXPECT_EQ(f.storage.FreePatchSlots(), free_before);
+
+    for (uint64_t k = 0; k < 16; ++k) {
+        GetResult r;
+        r.found = false;
+        f.slice->Get(k, [&](const GetResult &g) { r = g; });
+        f.sim.Run();
+        EXPECT_TRUE(r.ok) << "key " << k;
+        EXPECT_TRUE(r.found) << "acked key " << k << " lost";
+        EXPECT_EQ(r.value_size, kValue);
+    }
+    // No retry loop: nothing re-triggers until the next flush.
+    EXPECT_EQ(f.slice->stats().compactions, 1u);
+
+    // Once space is back, the next flush retries the merge and it lands.
+    for (uint64_t id : f.storage.StoredIds()) {
+        if (id >= (uint64_t{1} << 40)) f.storage.DeletePatch(id);
+    }
+    f.slice->Put(100, kValue, nullptr);
+    f.slice->Flush();
+    f.sim.Run();
+    EXPECT_EQ(f.slice->stats().compaction_aborts, 1u);
+    EXPECT_GE(f.slice->stats().compactions, 2u);
+    for (uint64_t k = 0; k < 16; ++k) {
+        GetResult r;
+        f.slice->Get(k, [&](const GetResult &g) { r = g; });
+        f.sim.Run();
+        EXPECT_TRUE(r.found) << "key " << k;
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@
  * rests on it (DESIGN.md §14). These tests drive both engines through
  * identical randomized schedules and through the calendar queue's edge
  * geometry (bucket boundaries, window rotation, cancel storms), plus the
- * move-only Callback and BlockPool primitives the fast path rides on.
+ * move-only Callback and BlockPool primitives the fast path rides on, and
+ * the horizon contract for resource occupancy that runs no callback.
  */
 #include <gtest/gtest.h>
 
@@ -15,9 +16,15 @@
 #include <random>
 #include <vector>
 
+#include "nand/channel.h"
+#include "nand/error_model.h"
+#include "nand/geometry.h"
+#include "nand/timing.h"
 #include "sim/callback.h"
+#include "sim/fifo_resource.h"
 #include "sim/pool.h"
 #include "sim/simulator.h"
+#include "util/rng.h"
 
 namespace sdf::sim {
 namespace {
@@ -220,6 +227,123 @@ TEST(CalendarQueue, RescheduleStormRecyclesSlots)
     EXPECT_EQ(sim.PendingEvents(), 1u);
     sim.Run();
     EXPECT_EQ(fired, 1);
+}
+
+// ---------------------------------------------------------------------------
+// Horizon: callback-free resource occupancy (FifoResource null completions)
+// ---------------------------------------------------------------------------
+
+constexpr EngineKind kBothEngines[] = {EngineKind::kHeap,
+                                       EngineKind::kCalendar};
+
+/** One real event at t=100 and a null completion busy until t=10000. */
+void
+ScheduleHorizonPastLastEvent(Simulator &sim, FifoResource &res, int *fired)
+{
+    sim.Schedule(100, [fired]() { ++*fired; });
+    EXPECT_EQ(res.Submit(10000, nullptr), 10000);
+}
+
+TEST(Horizon, RunEndsAtHorizon)
+{
+    for (const EngineKind kind : kBothEngines) {
+        SCOPED_TRACE(EngineName(kind));
+        Simulator sim(kind);
+        FifoResource res(sim);
+        int fired = 0;
+        ScheduleHorizonPastLastEvent(sim, res, &fired);
+        EXPECT_EQ(sim.PendingEvents(), 2u);  // The event and the horizon.
+        sim.Run();
+        EXPECT_EQ(fired, 1);
+        EXPECT_EQ(sim.Now(), 10000);
+        EXPECT_EQ(sim.PendingEvents(), 0u);
+        EXPECT_FALSE(res.Busy());
+        // Only the callback counts as a processed event.
+        EXPECT_EQ(sim.events_processed(), 1u);
+    }
+}
+
+TEST(Horizon, RunUntilBeforeHorizonReportsPending)
+{
+    for (const EngineKind kind : kBothEngines) {
+        SCOPED_TRACE(EngineName(kind));
+        Simulator sim(kind);
+        FifoResource res(sim);
+        int fired = 0;
+        ScheduleHorizonPastLastEvent(sim, res, &fired);
+        EXPECT_TRUE(sim.RunUntil(5000));
+        EXPECT_EQ(fired, 1);
+        EXPECT_EQ(sim.Now(), 5000);
+        EXPECT_GT(sim.PendingEvents(), 0u);
+        EXPECT_TRUE(res.Busy());
+        EXPECT_FALSE(sim.RunUntil(10000));
+        EXPECT_EQ(sim.Now(), 10000);
+        EXPECT_EQ(sim.PendingEvents(), 0u);
+        EXPECT_EQ(sim.events_processed(), 1u);
+    }
+}
+
+TEST(Horizon, DrainedRunWhileNotEndsAtHorizon)
+{
+    for (const EngineKind kind : kBothEngines) {
+        SCOPED_TRACE(EngineName(kind));
+        Simulator sim(kind);
+        FifoResource res(sim);
+        int fired = 0;
+        ScheduleHorizonPastLastEvent(sim, res, &fired);
+        EXPECT_FALSE(sim.RunWhileNot([]() { return false; }));
+        EXPECT_EQ(fired, 1);
+        EXPECT_EQ(sim.Now(), 10000);
+        EXPECT_EQ(sim.PendingEvents(), 0u);
+        EXPECT_EQ(sim.events_processed(), 1u);
+    }
+}
+
+TEST(Horizon, SlicedDrainStopsWhereAMarkerEventWould)
+{
+    // The sliced driver loops RunUntil(next slice) while PendingEvents() >
+    // 0; a horizon must end that loop on the same slice (and at the same
+    // clock) as an explicit empty event at the same time.
+    auto drain = [](Simulator &sim) {
+        int slices = 0;
+        while (sim.PendingEvents() > 0) {
+            sim.RunUntil((sim.Now() / 1000 + 1) * 1000);
+            ++slices;
+        }
+        return slices;
+    };
+    for (const EngineKind kind : kBothEngines) {
+        SCOPED_TRACE(EngineName(kind));
+        Simulator marker(kind);
+        marker.Schedule(100, []() {});
+        marker.ScheduleAt(7500, nullptr);
+        Simulator horizon(kind);
+        horizon.Schedule(100, []() {});
+        horizon.ExtendHorizon(7500);
+        EXPECT_EQ(drain(horizon), drain(marker));
+        EXPECT_EQ(horizon.Now(), marker.Now());
+        EXPECT_EQ(horizon.Now(), 8000);
+    }
+}
+
+TEST(Horizon, StallOnIdleChannelAdvancesClockToItsEnd)
+{
+    // A stall occupies the bus and every plane with no callback at all:
+    // the one path where the horizon outlasts every real event.
+    for (const EngineKind kind : kBothEngines) {
+        SCOPED_TRACE(EngineName(kind));
+        Simulator sim(kind);
+        nand::Channel ch(sim, nand::TinyTestGeometry(),
+                         nand::FastTestTiming(), nand::ErrorModel{},
+                         util::Rng(1), false, 40);
+        ch.InjectStall(util::UsToNs(250));
+        EXPECT_TRUE(ch.Busy());
+        EXPECT_GT(sim.PendingEvents(), 0u);
+        sim.Run();
+        EXPECT_EQ(sim.Now(), util::UsToNs(250));
+        EXPECT_FALSE(ch.Busy());
+        EXPECT_EQ(sim.events_processed(), 0u);
+    }
 }
 
 TEST(Callback, MoveOnlyCapturesWork)
