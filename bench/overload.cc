@@ -22,7 +22,6 @@
  * lost.
  */
 #include <cstdio>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -33,6 +32,7 @@
 #include "fault/fault.h"
 #include "util/assert.h"
 #include "util/table_printer.h"
+#include "workload/ycsb.h"
 
 namespace sdf {
 namespace {
@@ -63,46 +63,9 @@ MakeConfig(bool breaker)
     return cc;
 }
 
-std::vector<uint64_t>
-Preload(sim::Simulator &sim, cluster::Cluster &cl)
-{
-    std::vector<uint64_t> keys;
-    uint64_t acked = 0;
-    for (uint32_t k = 0; k < kPreloadKeys; ++k) {
-        keys.push_back(k + 1);
-        cl.router().Put(k + 1, kValueBytes,
-                        [&acked](bool ok) { acked += ok ? 1 : 0; });
-    }
-    sim.Run();
-    cl.FlushAll();
-    sim.Run();
-    SDF_CHECK_MSG(acked == kPreloadKeys, "cluster preload failed");
-    return keys;
-}
-
-/** Audit every acked write back through the router; @return keys lost. */
-uint64_t
-AuditAckedWrites(sim::Simulator &sim, cluster::Cluster &cl,
-                 const std::vector<uint64_t> &acked)
-{
-    uint64_t lost = 0;
-    size_t next = 0;
-    std::function<void()> step = [&]() {
-        if (next >= acked.size()) return;
-        const uint64_t key = acked[next++];
-        cl.router().Get(key, [&](const kv::GetResult &res) {
-            if (!res.ok || !res.found) ++lost;
-            step();
-        });
-    };
-    for (uint32_t s = 0; s < 8; ++s) step();
-    sim.Run();
-    return lost;
-}
-
 struct RunOutcome
 {
-    workload::OpenRunResult r;
+    workload::YcsbResult r;
     client::ClientStats cs;
     client::HedgeStats hs;
     uint64_t admission_shed = 0;
@@ -118,7 +81,8 @@ RunOnce(const std::string &label, double rate, double storm,
     sim::Simulator sim;
     bench::BindObs(sim);
     cluster::Cluster cl(sim, MakeConfig(breaker));
-    const auto keys = Preload(sim, cl);
+    const auto keys = cl.Preload(kPreloadKeys, kValueBytes);
+    SDF_CHECK_MSG(keys.size() == kPreloadKeys, "cluster preload failed");
 
     const util::TimeNs dur = util::SecToNs(0.4);
     const util::TimeNs t0 = sim.Now();
@@ -147,28 +111,28 @@ RunOnce(const std::string &label, double rate, double storm,
     kc.hedge_reads = hedge;
     client::KvClient client(sim, cl.router(), kc);
 
-    workload::OpenRunConfig oc;
-    oc.arrival_rate = rate;
-    oc.read_fraction = 0.9;
-    oc.value_bytes = kValueBytes;
-    oc.duration = dur;
-    oc.storm_factor = storm;
-    oc.storm_start = dur / 3;
-    oc.storm_end = 2 * dur / 3;
-
-    // Each configuration gets its own labelled series segment, so a
-    // --stats-series export shows every run's storm timeline separately.
-    bench::GlobalObs().StartSeries(sim, label, dur);
+    workload::YcsbConfig cfg;
+    cfg.arrival_rate = rate;
+    cfg.value_bytes = kValueBytes;
+    cfg.duration = dur;
+    cfg.phases = workload::StormPhases(0.9, storm);
+    // Each configuration's phases get their own labelled series segments,
+    // so a --stats-series export shows every run's storm timeline
+    // separately.
+    cfg.on_phase_start = [&sim, &label](size_t, const workload::YcsbPhase &p,
+                                        util::TimeNs, util::TimeNs d) {
+        bench::GlobalObs().StartSeries(sim, label + "." + p.name, d);
+    };
 
     RunOutcome out;
-    out.r = workload::RunOpenLoad(sim, client.Service(), keys, oc);
+    out.r = workload::RunYcsb(sim, client.Service(), keys, cfg);
     out.cs = client.stats();
     out.hs = client.hedge_stats();
     for (uint32_t n = 0; n < cl.node_count(); ++n) {
         out.admission_shed += cl.node(n).admission().shed_overload;
     }
     out.breaker_trips = cl.router().breaker().stats().trips;
-    out.lost = AuditAckedWrites(sim, cl, out.r.acked_writes);
+    out.lost = cl.AuditAcked(out.r.acked_writes).lost;
     return out;
 }
 

@@ -4,8 +4,9 @@
 # build (-DSDF_SANITIZE=ON), each in its own build tree. Also smoke-tests
 # the observability exports (stats JSON invariants, trace well-formedness,
 # same-seed byte identity) via tools/validate_stats.py, the cluster
-# workload (same-seed determinism + degraded-mode zero-loss), and the
-# open-loop overload workload (typed sheds, fail-slow hedging/breaker).
+# workload (same-seed determinism + degraded-mode zero-loss), the
+# open-loop overload workload (typed sheds, fail-slow hedging/breaker),
+# the production_day example and sdfsim's rejection of bad input.
 # Usage: scripts/check.sh [extra ctest args...]
 set -euo pipefail
 
@@ -46,7 +47,7 @@ echo "== cluster smoke =="
 ./build/tools/sdfsim --workload=cluster --nodes=3 --replication=2 \
     --duration=0.3 --stats-json="$obs_tmp/c2.json" > /dev/null
 cmp "$obs_tmp/c1.json" "$obs_tmp/c2.json"  # Same seed => byte-identical.
-python3 tools/validate_stats.py "$obs_tmp/c1.json"
+python3 tools/validate_stats.py "$obs_tmp/c1.json" --check-phases
 # Degraded mode: kill a node mid-run; exit is nonzero on any lost ack.
 ./build/tools/sdfsim --workload=cluster --nodes=3 --replication=2 \
     --duration=0.3 --kill-node=0 > /dev/null
@@ -78,7 +79,7 @@ cmp "$obs_tmp/o1.series.json" "$obs_tmp/o2.series.json"
 # Cluster critical-path tiling (client.path.*) + window contiguity.
 python3 tools/validate_stats.py "$obs_tmp/o1.json" \
     --trace="$obs_tmp/o1.trace.json" --series="$obs_tmp/o1.series.json" \
-    --require-op=client.path.get --require-op=client.path.put
+    --require-op=client.path.get --require-op=client.path.put --check-phases
 # One fail-slow node mid-run; hedged reads + breaker route around it.
 ./build/tools/sdfsim --workload=overload --nodes=3 --replication=2 \
     --duration=0.2 --fail-slow-node=1 --fail-slow-factor=4 > /dev/null
@@ -108,6 +109,26 @@ python3 tools/validate_stats.py "$obs_tmp/y1.json" \
     --replication=2 --duration=0.3 --arrival-rate=40000 \
     --stats-json="$obs_tmp/ystorm.json" > /dev/null
 python3 tools/validate_stats.py "$obs_tmp/ystorm.json" --check-phases
+
+echo "== production day example =="
+# The diurnal ycsb profile against one node's Store: nonzero exit if the
+# preload or any op fails to complete.
+./build/examples/production_day > /dev/null
+
+echo "== bad input =="
+# Malformed or impossible flags: one stderr line and exit status 2, never
+# an uncaught exception, a panic or a silent fallback.
+for args in "--nodes=abc" "--workload=cluster --replication=3 --nodes=2" \
+        "--workload=ycsb --profile=zzz" "--workload=cluster --device=zzz" \
+        "--workload=overload --device=zzz" "--workload=ycsb --device=zzz"; do
+    rc=0
+    # shellcheck disable=SC2086
+    ./build/tools/sdfsim $args > /dev/null 2> "$obs_tmp/bad.err" || rc=$?
+    if [ "$rc" -ne 2 ] || [ "$(wc -l < "$obs_tmp/bad.err")" -ne 1 ]; then
+        echo "sdfsim $args: exit $rc, expected 2 with one stderr line" >&2
+        exit 1
+    fi
+done
 
 echo "== engine cross-check (heap vs calendar) =="
 # The two event engines must produce byte-identical runs: same seed, same
@@ -160,7 +181,7 @@ cmake --build build-asan -j
     --duration=0.3 --kill-node=0 --rebalance > /dev/null
 ./build-asan/tools/sdfsim --workload=cluster --nodes=3 --replication=2 \
     --duration=0.3 --restart-node=1 > /dev/null
-# The overload path (open-loop driver, client windows/batches/hedges,
+# The overload path (open-loop engine, client windows/batches/hedges,
 # admission sheds, fail-slow deferral) under the sanitizers as well.
 ./build-asan/tools/sdfsim --workload=overload --nodes=3 --replication=2 \
     --duration=0.2 --arrival-rate=60000 --storm=2.0 > /dev/null

@@ -488,13 +488,7 @@ KvClient::Service()
 {
     workload::KvService svc;
     svc.put = [this](uint64_t key, uint32_t value_size,
-                     kv::PutCallback done) {
-        Put(key, value_size, [done = std::move(done)](kv::OpStatus s) {
-            if (done) done(s == kv::OpStatus::kOk);
-        });
-    };
-    svc.put_typed = [this](uint64_t key, uint32_t value_size,
-                           kv::PutStatusCallback done) {
+                     kv::PutStatusCallback done) {
         Put(key, value_size, std::move(done));
     };
     svc.get = [this](uint64_t key, kv::GetCallback done) {

@@ -414,6 +414,14 @@ struct ClusterConfig
     NodeConfig node;
 };
 
+/** Outcome of Cluster::AuditAcked. */
+struct AuditResult
+{
+    uint64_t audited = 0;  ///< Read-backs completed.
+    uint64_t lost = 0;     ///< Failed or missing.
+    std::vector<uint64_t> first_lost;  ///< Up to the first 10 lost keys.
+};
+
 /** N storage nodes plus router, rebalancer and anti-entropy pass. */
 class Cluster
 {
@@ -450,11 +458,28 @@ class Cluster
 
     void FlushAll();
 
+    /**
+     * Bulk-load keys 1..@p count of @p value_bytes each through the
+     * router (every put issued at once, no window), then flush every
+     * node so later reads hit flash. Drives the simulator until idle.
+     * @return the keys whose put acked, ascending.
+     */
+    std::vector<uint64_t> Preload(uint32_t count, uint32_t value_bytes);
+
+    /**
+     * Read every key in @p keys back through the router, 8 closed-loop
+     * streams wide (flooding every key at once would overflow the RPC
+     * timeout and report congestion as data loss). A key is lost when
+     * its read fails or misses. Drives the simulator until idle.
+     */
+    AuditResult AuditAcked(const std::vector<uint64_t> &keys);
+
     /** The nodes' SDF devices (for fault::FaultInjector); skips nodes on
      *  conventional-SSD backends. */
     std::vector<core::SdfDevice *> SdfDevices();
 
   private:
+    sim::Simulator &sim_;
     std::vector<std::unique_ptr<StorageNode>> nodes_;
     std::unique_ptr<ClusterRouter> router_;
     std::unique_ptr<Rebalancer> rebalancer_;

@@ -518,7 +518,21 @@ void
 Slice::CompactionReadNext()
 {
     if (detached_) return;
-    while (compaction_io_inflight_ < config_.compaction_io_concurrency &&
+    if (compaction_io_inflight_ == 0 &&
+        (compaction_failed_ ||
+         compaction_read_next_ == compaction_inputs_.size())) {
+        // An input that could not be read would merge as zeros (payload
+        // mode) or vouch for bytes nobody verified: abort like a failed
+        // output write, keeping the inputs indexed and journaled.
+        if (compaction_failed_) {
+            AbortCompaction();
+        } else {
+            CompactionMergeAndWrite();
+        }
+        return;
+    }
+    while (!compaction_failed_ &&
+           compaction_io_inflight_ < config_.compaction_io_concurrency &&
            compaction_read_next_ < compaction_inputs_.size()) {
         const size_t i = compaction_read_next_++;
         ++compaction_io_inflight_;
@@ -529,14 +543,10 @@ Slice::CompactionReadNext()
         stats_.compaction_bytes_read += storage_.patch_bytes();
         storage_.GetRange(
             compaction_inputs_[i]->id(), 0, storage_.patch_bytes(),
-            [this](bool) {
+            [this](bool ok) {
                 --compaction_io_inflight_;
-                if (compaction_read_next_ == compaction_inputs_.size() &&
-                    compaction_io_inflight_ == 0) {
-                    CompactionMergeAndWrite();
-                } else {
-                    CompactionReadNext();
-                }
+                if (!ok) compaction_failed_ = true;
+                CompactionReadNext();
             },
             buf.get(), blocklayer::kInternalPriority);
     }
@@ -617,7 +627,7 @@ Slice::CompactionWriteNext()
     // the device.
     if (detached_) return;
     if (compaction_io_inflight_ == 0) {
-        if (compaction_write_failed_) {
+        if (compaction_failed_) {
             AbortCompaction();
             return;
         }
@@ -626,7 +636,7 @@ Slice::CompactionWriteNext()
             return;
         }
     }
-    while (!compaction_write_failed_ &&
+    while (!compaction_failed_ &&
            compaction_io_inflight_ < config_.compaction_io_concurrency &&
            compaction_write_next_ < compaction_outputs_.size()) {
         const size_t i = compaction_write_next_++;
@@ -638,7 +648,7 @@ Slice::CompactionWriteNext()
         storage_.PutPatch(meta->id(),
                           [this](bool ok) {
                               --compaction_io_inflight_;
-                              if (!ok) compaction_write_failed_ = true;
+                              if (!ok) compaction_failed_ = true;
                               CompactionWriteNext();
                           },
                           buf ? buf->data() : nullptr,
@@ -710,11 +720,13 @@ Slice::FinishCompaction()
 void
 Slice::AbortCompaction()
 {
-    // An output never reached flash (no space, dead channel, program
-    // failure). Installing the outputs would index keys whose only copy is
-    // missing, and dropping the inputs would lose them: keep the inputs
-    // indexed and journaled, and reclaim every output already written
-    // (deleting one whose write failed is a no-op).
+    // An input could not be read, or an output never reached flash (no
+    // space, dead channel, program failure). Merging unread inputs would
+    // install wrong bytes, installing the outputs would index keys whose
+    // only copy is missing, and dropping the inputs would lose them: keep
+    // the inputs indexed and journaled, and reclaim every output already
+    // written (deleting one whose write failed is a no-op; a read failure
+    // aborts before any output exists).
     ++stats_.compaction_aborts;
     for (size_t i = 0; i < compaction_write_next_; ++i) {
         const uint64_t id = compaction_outputs_[i]->id();
@@ -733,7 +745,7 @@ Slice::EndCompaction()
     compaction_buffers_.clear();
     compaction_outputs_.clear();
     compaction_out_bufs_.clear();
-    compaction_write_failed_ = false;
+    compaction_failed_ = false;
     compaction_active_ = false;
 }
 

@@ -237,8 +237,9 @@ class Slice
     std::vector<std::shared_ptr<PatchMeta>> compaction_outputs_;
     std::vector<std::shared_ptr<std::vector<uint8_t>>> compaction_out_bufs_;
     size_t compaction_write_next_ = 0;
-    /** An output write failed: issue no more, abort once none in flight. */
-    bool compaction_write_failed_ = false;
+    /** An input read or output write failed: issue no more I/O, abort
+     *  once none is in flight. */
+    bool compaction_failed_ = false;
     bool compaction_dropped_tombstones_ = false;
 
     SliceStats stats_;

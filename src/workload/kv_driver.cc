@@ -1,12 +1,10 @@
 #include "workload/kv_driver.h"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "host/io_stack.h"
 #include "util/assert.h"
-#include "util/latency_recorder.h"
 
 namespace sdf::workload {
 
@@ -247,8 +245,10 @@ ServiceFor(kv::Store &store)
 {
     KvService svc;
     svc.put = [&store](uint64_t key, uint32_t value_size,
-                       kv::PutCallback done) {
-        store.Put(key, value_size, std::move(done));
+                       kv::PutStatusCallback done) {
+        store.Put(key, value_size, [done = std::move(done)](bool ok) {
+            done(ok ? kv::OpStatus::kOk : kv::OpStatus::kError);
+        });
     };
     svc.get = [&store](uint64_t key, kv::GetCallback done) {
         store.Get(key, std::move(done));
@@ -261,205 +261,6 @@ ServiceFor(kv::Store &store)
                    });
     };
     return svc;
-}
-
-MixedRunResult
-RunMixedLoad(sim::Simulator &sim, const KvService &svc,
-             const std::vector<uint64_t> &keys, const MixedRunConfig &cfg)
-{
-    SDF_CHECK(svc.put != nullptr && svc.get != nullptr);
-    SDF_CHECK(cfg.actors > 0);
-
-    MixedRunResult result;
-    std::vector<uint64_t> population = keys;  // Grows as writes ack.
-    uint64_t next_key = cfg.first_write_key;
-    uint64_t acked_bytes = 0;
-    util::LatencyRecorder read_lat, write_lat;
-    std::vector<util::Rng> rngs;
-    rngs.reserve(cfg.actors);
-    for (uint32_t a = 0; a < cfg.actors; ++a) {
-        rngs.emplace_back(cfg.seed ^ (0xac700000ULL + a));
-    }
-
-    const TimeNs t_end = sim.Now() + cfg.duration;
-    // One closed loop per actor: issue, wait for the ack, repeat. All
-    // state lives on this frame; RunMixedLoad drains the simulator before
-    // returning, so the references the callbacks capture stay valid.
-    std::function<void(uint32_t)> step = [&](uint32_t a) {
-        if (sim.Now() >= t_end) return;
-        util::Rng &rng = rngs[a];
-        const bool do_read =
-            !population.empty() && rng.NextDouble() < cfg.read_fraction;
-        const TimeNs t0 = sim.Now();
-        if (do_read) {
-            const uint64_t key = population[rng.NextBelow(population.size())];
-            svc.get(key, [&, a, t0](const kv::GetResult &res) {
-                ++result.reads;
-                if (!res.ok) {
-                    ++result.read_errors;
-                } else if (!res.found) {
-                    ++result.read_misses;
-                } else {
-                    result.read_bytes += res.value_size;
-                }
-                read_lat.Record(sim.Now() - t0);
-                step(a);
-            });
-        } else {
-            const uint64_t key = next_key++;
-            svc.put(key, cfg.value_bytes, [&, a, key, t0](bool ok) {
-                ++result.writes;
-                if (ok) {
-                    result.acked_writes.push_back(key);
-                    population.push_back(key);
-                    acked_bytes += cfg.value_bytes;
-                } else {
-                    ++result.write_errors;
-                }
-                write_lat.Record(sim.Now() - t0);
-                step(a);
-            });
-        }
-    };
-    for (uint32_t a = 0; a < cfg.actors; ++a) {
-        sim.Post([&step, a]() { step(a); });
-    }
-    sim.RunUntil(t_end);
-    sim.Run();  // Drain the last in-flight op of every actor.
-
-    const double secs = util::NsToSec(cfg.duration);
-    result.ops_per_sec =
-        secs > 0 ? static_cast<double>(result.reads + result.writes) / secs
-                 : 0;
-    result.read_mbps = util::BandwidthMBps(result.read_bytes, cfg.duration);
-    result.write_mbps = util::BandwidthMBps(acked_bytes, cfg.duration);
-    if (read_lat.count() > 0) {
-        result.read_mean_ms = read_lat.MeanMs();
-        result.read_p99_ms = read_lat.PercentileMs(99);
-    }
-    if (write_lat.count() > 0) {
-        result.write_mean_ms = write_lat.MeanMs();
-        result.write_p99_ms = write_lat.PercentileMs(99);
-    }
-    return result;
-}
-
-OpenRunResult
-RunOpenLoad(sim::Simulator &sim, const KvService &svc,
-            const std::vector<uint64_t> &keys, const OpenRunConfig &cfg)
-{
-    SDF_CHECK(svc.get != nullptr);
-    SDF_CHECK(svc.put != nullptr || svc.put_typed != nullptr);
-    SDF_CHECK(cfg.arrival_rate > 0);
-
-    // Always go through the typed put path so sheds are attributable;
-    // plain-put services get a wrapper that can only say ok/error.
-    auto put_typed = svc.put_typed;
-    if (!put_typed) {
-        put_typed = [put = svc.put](uint64_t key, uint32_t value_size,
-                                    kv::PutStatusCallback done) {
-            put(key, value_size, [done = std::move(done)](bool ok) {
-                done(ok ? kv::OpStatus::kOk : kv::OpStatus::kError);
-            });
-        };
-    }
-
-    OpenRunResult result;
-    util::LatencyRecorder all_lat, read_lat;
-    util::Rng rng(cfg.seed ^ 0x09e41007ULL);
-    uint64_t next_key = cfg.first_write_key;
-
-    const TimeNs t_start = sim.Now();
-    const TimeNs t_end = t_start + cfg.duration;
-    const TimeNs storm_start = t_start + cfg.storm_start;
-    const TimeNs storm_end = t_start + cfg.storm_end;
-
-    auto count_status = [&](kv::OpStatus s) {
-        switch (s) {
-            case kv::OpStatus::kOk: break;
-            case kv::OpStatus::kOverloaded: ++result.shed_overloaded; break;
-            case kv::OpStatus::kDeadlineExceeded:
-                ++result.shed_deadline;
-                break;
-            case kv::OpStatus::kError: ++result.errors; break;
-        }
-    };
-
-    auto issue_one = [&]() {
-        ++result.issued;
-        const TimeNs t0 = sim.Now();
-        const bool do_read =
-            !keys.empty() && rng.NextDouble() < cfg.read_fraction;
-        if (do_read) {
-            const uint64_t key = keys[rng.NextBelow(keys.size())];
-            svc.get(key, [&, t0](const kv::GetResult &res) {
-                ++result.completed;
-                const TimeNs lat = sim.Now() - t0;
-                all_lat.Record(lat);
-                if (!res.ok) {
-                    count_status(res.status == kv::OpStatus::kOk
-                                     ? kv::OpStatus::kError
-                                     : res.status);
-                } else if (!res.found) {
-                    ++result.misses;
-                } else {
-                    ++result.ok_reads;
-                    read_lat.Record(lat);
-                }
-            });
-        } else {
-            const uint64_t key = next_key++;
-            put_typed(key, cfg.value_bytes, [&, key, t0](kv::OpStatus s) {
-                ++result.completed;
-                all_lat.Record(sim.Now() - t0);
-                if (s == kv::OpStatus::kOk) {
-                    ++result.ok_writes;
-                    result.acked_writes.push_back(key);
-                } else {
-                    count_status(s);
-                }
-            });
-        }
-    };
-
-    // The arrival process: each arrival issues one op fire-and-forget and
-    // schedules the next on a seeded exponential clock. The storm window
-    // multiplies the *rate* (divides the gap), so a 2x storm really offers
-    // 2x the load rather than just reshuffling arrival times.
-    std::function<void()> arrive = [&]() {
-        if (sim.Now() >= t_end) return;
-        issue_one();
-        double rate = cfg.arrival_rate;
-        if (cfg.storm_factor != 1.0 && sim.Now() >= storm_start &&
-            sim.Now() < storm_end) {
-            rate *= cfg.storm_factor;
-        }
-        const double u = rng.NextDouble();
-        const double gap_sec = -std::log(1.0 - u) / rate;
-        TimeNs gap = static_cast<TimeNs>(gap_sec * 1e9);
-        if (gap == 0) gap = 1;  // Never two arrivals at the same tick.
-        sim.Schedule(gap, arrive);
-    };
-    sim.Post([&arrive]() { arrive(); });
-    sim.RunUntil(t_end);
-    sim.Run();  // Drain everything still in flight (or pending shed).
-
-    const double secs = util::NsToSec(cfg.duration);
-    if (secs > 0) {
-        result.offered_ops_per_sec =
-            static_cast<double>(result.issued) / secs;
-        result.goodput_ops_per_sec =
-            static_cast<double>(result.ok_reads + result.ok_writes +
-                                result.misses) /
-            secs;
-    }
-    if (all_lat.count() > 0) {
-        result.p50_ms = all_lat.PercentileMs(50);
-        result.p99_ms = all_lat.PercentileMs(99);
-        result.p999_ms = all_lat.PercentileMs(99.9);
-    }
-    if (read_lat.count() > 0) result.read_p99_ms = read_lat.PercentileMs(99);
-    return result;
 }
 
 }  // namespace sdf::workload

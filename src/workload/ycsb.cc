@@ -170,6 +170,31 @@ YcsbProfile(const std::string &name, YcsbConfig base)
     return base;
 }
 
+bool
+IsYcsbProfile(const std::string &name)
+{
+    for (const char *p : {"a", "b", "c", "e", "storm", "diurnal"}) {
+        if (name == p) return true;
+    }
+    return false;
+}
+
+std::vector<YcsbPhase>
+StormPhases(double read_fraction, double storm)
+{
+    YcsbPhase steady;
+    steady.chooser = KeyChooser::kUniform;
+    steady.mix = OpMix{read_fraction, 0.0, 1.0 - read_fraction, 0.0};
+    if (storm == 1.0) return {steady};
+    steady.duration_fraction = 1.0 / 3;
+    YcsbPhase spike = steady;
+    spike.name = "storm";
+    spike.rate_multiplier = storm;
+    YcsbPhase recovery = steady;
+    recovery.name = "recovery";
+    return {steady, spike, recovery};
+}
+
 // ---------------------------------------------------------------------------
 // Runner
 // ---------------------------------------------------------------------------
@@ -189,20 +214,9 @@ YcsbResult
 RunYcsb(sim::Simulator &sim, const KvService &svc,
         const std::vector<uint64_t> &keys, const YcsbConfig &cfg)
 {
-    SDF_CHECK(svc.get != nullptr);
-    SDF_CHECK(svc.put != nullptr || svc.put_typed != nullptr);
-    SDF_CHECK(cfg.arrival_rate > 0);
+    SDF_CHECK(svc.get != nullptr && svc.put != nullptr);
+    SDF_CHECK(cfg.actors > 0 || cfg.arrival_rate > 0);
     SDF_CHECK(!keys.empty());
-
-    auto put_typed = svc.put_typed;
-    if (!put_typed) {
-        put_typed = [put = svc.put](uint64_t key, uint32_t value_size,
-                                    kv::PutStatusCallback done) {
-            put(key, value_size, [done = std::move(done)](bool ok) {
-                done(ok ? kv::OpStatus::kOk : kv::OpStatus::kError);
-            });
-        };
-    }
 
     // ---- phase schedule -------------------------------------------------
     std::vector<YcsbPhase> phases = cfg.phases;
@@ -263,11 +277,13 @@ RunYcsb(sim::Simulator &sim, const KvService &svc,
     auto choose_index = [&](const YcsbPhase &p) -> size_t {
         const size_t n = population.size();
         switch (p.chooser) {
-            case KeyChooser::kUniform: return rng.NextBelow(n);
+            // Uniform and Zipfian draw over the initial population (the
+            // preloaded, flushed working set), so reads keep reaching
+            // the device however many inserts the run adds.
+            case KeyChooser::kUniform: return rng.NextBelow(n0);
             case KeyChooser::kZipfian: {
-                // Ranks are drawn over the initial population (the
-                // preloaded working set); scrambling spreads the hot
-                // ranks across the key space deterministically.
+                // Scrambling spreads the hot ranks across the key space
+                // deterministically.
                 const uint64_t r = zipf.Next(rng);
                 if (!cfg.scramble) return static_cast<size_t>(r - 1);
                 uint64_t s = r;
@@ -310,7 +326,7 @@ RunYcsb(sim::Simulator &sim, const KvService &svc,
 
     // ---- accounting -----------------------------------------------------
     YcsbResult result;
-    util::LatencyRecorder total_lat;
+    util::LatencyRecorder total_lat, read_lat, write_lat;
     std::vector<PhaseAcc> accs(phases.size());
     for (size_t i = 0; i < phases.size(); ++i) {
         accs[i].out.name = phases[i].name;
@@ -330,17 +346,40 @@ RunYcsb(sim::Simulator &sim, const KvService &svc,
 
     // Completion bookkeeping shared by every op type: latency into the
     // issue phase's recorder, SLO check (failures always violate; slow
-    // successes violate past cfg.slo).
-    auto complete = [&](size_t phase, TimeNs t0, bool failed) {
+    // successes violate past cfg.slo). In closed-loop mode the completing
+    // client then issues its next op — posted, so this completion's
+    // outcome is counted first. Clients are interchangeable (one shared
+    // rng), so the loop needs no per-client identity.
+    std::function<void()> issue_one;
+    auto complete = [&](size_t phase, TimeNs t0, bool failed) -> TimeNs {
         PhaseAcc &a = accs[phase];
         ++a.out.completed;
         const TimeNs lat = sim.Now() - t0;
         a.lat.Record(lat);
         total_lat.Record(lat);
         if (failed || lat > cfg.slo) ++a.out.slo_violations;
+        if (cfg.actors > 0 && sim.Now() < t_end) {
+            sim.Post([&issue_one]() { issue_one(); });
+        }
+        return lat;
     };
 
-    auto issue_one = [&]() {
+    // Acked update/insert: shared by both write op types.
+    auto put_done = [&](size_t pi, TimeNs t0, uint64_t key, uint32_t size,
+                        uint64_t YcsbPhaseResult::*ok_count,
+                        kv::OpStatus s) {
+        if (s == kv::OpStatus::kOk) {
+            write_lat.Record(complete(pi, t0, false));
+            ++(accs[pi].out.*ok_count);
+            result.acked_writes.push_back(key);
+            result.write_bytes += size;
+        } else {
+            complete(pi, t0, true);
+            fail_status(accs[pi], s);
+        }
+    };
+
+    issue_one = [&]() {
         const TimeNs now = sim.Now();
         const size_t pi = phase_of(now);
         const YcsbPhase &phase = phases[pi];
@@ -366,8 +405,9 @@ RunYcsb(sim::Simulator &sim, const KvService &svc,
                     complete(pi, t0, false);
                     ++pa.out.misses;
                 } else {
-                    complete(pi, t0, false);
+                    read_lat.Record(complete(pi, t0, false));
                     ++pa.out.ok_reads;
+                    result.read_bytes += res.value_size;
                 }
             });
             return;
@@ -375,16 +415,9 @@ RunYcsb(sim::Simulator &sim, const KvService &svc,
         u -= m.read;
         if (u < m.update) {
             const uint64_t key = population[choose_index(phase)];
-            put_typed(key, value_size(), [&, pi, t0,
-                                          key](kv::OpStatus s) {
-                if (s == kv::OpStatus::kOk) {
-                    complete(pi, t0, false);
-                    ++accs[pi].out.ok_updates;
-                    result.acked_writes.push_back(key);
-                } else {
-                    complete(pi, t0, true);
-                    fail_status(accs[pi], s);
-                }
+            const uint32_t size = value_size();
+            svc.put(key, size, [&, pi, t0, key, size](kv::OpStatus s) {
+                put_done(pi, t0, key, size, &YcsbPhaseResult::ok_updates, s);
             });
             return;
         }
@@ -396,16 +429,9 @@ RunYcsb(sim::Simulator &sim, const KvService &svc,
             population.push_back(key);
             latest_zipf = std::make_unique<ZipfianGenerator>(
                 population.size(), cfg.theta);
-            put_typed(key, value_size(), [&, pi, t0,
-                                          key](kv::OpStatus s) {
-                if (s == kv::OpStatus::kOk) {
-                    complete(pi, t0, false);
-                    ++accs[pi].out.ok_inserts;
-                    result.acked_writes.push_back(key);
-                } else {
-                    complete(pi, t0, true);
-                    fail_status(accs[pi], s);
-                }
+            const uint32_t size = value_size();
+            svc.put(key, size, [&, pi, t0, key, size](kv::OpStatus s) {
+                put_done(pi, t0, key, size, &YcsbPhaseResult::ok_inserts, s);
             });
             return;
         }
@@ -439,8 +465,7 @@ RunYcsb(sim::Simulator &sim, const KvService &svc,
 
     // The arrival process: one seeded exponential clock, fire-and-forget
     // issue, with the *rate* scaled by the current phase's multiplier so
-    // a 3x spike really offers 3x the load (same shape as RunOpenLoad's
-    // storm window).
+    // a 3x spike really offers 3x the load.
     std::function<void()> arrive = [&]() {
         if (sim.Now() >= t_end) return;
         issue_one();
@@ -452,7 +477,13 @@ RunYcsb(sim::Simulator &sim, const KvService &svc,
         if (gap == 0) gap = 1;  // Never two arrivals at the same tick.
         sim.Schedule(gap, arrive);
     };
-    sim.Post([&arrive]() { arrive(); });
+    if (cfg.actors == 0) {
+        sim.Post([&arrive]() { arrive(); });
+    } else {
+        for (uint32_t a = 0; a < cfg.actors; ++a) {
+            sim.Post([&issue_one]() { issue_one(); });
+        }
+    }
     sim.RunUntil(t_end);
     sim.Run();  // Drain in-flight ops so phase counts sum to totals.
 
@@ -493,6 +524,14 @@ RunYcsb(sim::Simulator &sim, const KvService &svc,
         result.p50_ms = total_lat.PercentileMs(50);
         result.p99_ms = total_lat.PercentileMs(99);
         result.p999_ms = total_lat.PercentileMs(99.9);
+    }
+    if (read_lat.count() > 0) {
+        result.read_mean_ms = read_lat.MeanMs();
+        result.read_p99_ms = read_lat.PercentileMs(99);
+    }
+    if (write_lat.count() > 0) {
+        result.write_mean_ms = write_lat.MeanMs();
+        result.write_p99_ms = write_lat.PercentileMs(99);
     }
     return result;
 }

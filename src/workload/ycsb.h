@@ -1,12 +1,12 @@
 /**
  * @file
- * YCSB-style workload engine: skewed key choice, mixed op types
- * including range scans, and dynamic phase schedules over the open-loop
- * Poisson arrival process.
+ * YCSB-style workload engine — the one load engine for every
+ * KvService: skewed key choice, mixed op types including range scans,
+ * and dynamic phase schedules over an open-loop Poisson arrival process
+ * or a fixed set of closed-loop clients.
  *
  * The paper's premise is web-scale traffic — hot keys, scans, diurnal
- * swings and flash crowds — while the older drivers here generate only
- * uniform closed-loop mixes. This engine reproduces the YCSB core
+ * swings and flash crowds. This engine reproduces the YCSB core
  * distributions (Cooper et al.) on the simulated clock:
  *
  *  - key choosers: uniform, Zipfian via Gray et al.'s rejection-
@@ -20,10 +20,13 @@
  *    through KvService::scan (kv::Store locally, the single-owner
  *    fan-out cluster path behind client::KvClient);
  *  - a phase schedule: consecutive time windows, each with its own
- *    arrival-rate multiplier, op mix and key chooser, layered on the
- *    same seeded Poisson arrival clock RunOpenLoad uses. Ops are
- *    attributed to the phase that *issued* them, so per-phase counts
- *    sum exactly to the run totals whenever every arrival drains.
+ *    arrival-rate multiplier, op mix and key chooser, layered on one
+ *    seeded Poisson arrival clock. Ops are attributed to the phase that
+ *    *issued* them, so per-phase counts sum exactly to the run totals
+ *    whenever every arrival drains;
+ *  - a closed-loop mode (YcsbConfig::actors > 0): N clients each issue
+ *    their next op when the previous one completes, so the offered load
+ *    follows the service's speed instead of a clock.
  *
  * Everything is driven by one seeded util::Rng on the simulated clock,
  * so a (service, keys, config) triple replays byte-identically — the
@@ -82,7 +85,7 @@ class ZipfianGenerator
 /** How a phase picks keys from the population. */
 enum class KeyChooser : uint8_t
 {
-    kUniform,   ///< Every key equally likely.
+    kUniform,   ///< Every key of the initial population equally likely.
     kZipfian,   ///< Zipf over the initial population (scrambled spread).
     kLatest,    ///< Zipf over recency: newest keys hottest.
     kHotRange,  ///< Most ops inside one contiguous population slice.
@@ -129,8 +132,15 @@ struct YcsbPhase
 /** Engine parameters. */
 struct YcsbConfig
 {
-    /** Base mean arrival rate, ops/sec (Poisson; phases scale it). */
+    /** Base mean arrival rate, ops/sec (Poisson; phases scale it).
+     *  Unused in closed-loop mode. */
     double arrival_rate = 50000.0;
+    /**
+     * 0: open loop (Poisson arrivals at arrival_rate). N > 0: closed
+     * loop — N clients each keep exactly one op in flight until the run
+     * ends; phase rate multipliers do not apply.
+     */
+    uint32_t actors = 0;
     util::TimeNs duration = util::SecToNs(0.5);
     uint64_t seed = 7;
     /** Zipfian exponent for the kZipfian / kLatest choosers. */
@@ -210,6 +220,14 @@ struct YcsbResult
     double p50_ms = 0;
     double p99_ms = 0;
     double p999_ms = 0;
+    /** Point reads that found their key: payload delivered and latency. */
+    uint64_t read_bytes = 0;
+    double read_mean_ms = 0;
+    double read_p99_ms = 0;
+    /** Acked updates and inserts: payload made durable and latency. */
+    uint64_t write_bytes = 0;
+    double write_mean_ms = 0;
+    double write_p99_ms = 0;
     /** Keys whose insert/update acked — the consistency-audit set. */
     std::vector<uint64_t> acked_writes;
     std::vector<YcsbPhaseResult> phases;
@@ -226,14 +244,27 @@ struct YcsbResult
  */
 YcsbConfig YcsbProfile(const std::string &name, YcsbConfig base);
 
+/** True when YcsbProfile knows @p name. */
+bool IsYcsbProfile(const std::string &name);
+
 /**
- * Open-loop YCSB run against any KvService. Arrivals follow a seeded
- * Poisson process whose rate is cfg.arrival_rate times the current
- * phase's multiplier; issue is fire-and-forget and the run drains all
- * in-flight ops before returning, so per-phase counts sum to the run
- * totals exactly. @p keys is the preloaded population (ascending order
- * recommended so scans cover contiguous ranges); inserts grow it.
- * Deterministic for a given (service, keys, cfg).
+ * The storm schedule over a uniform read/insert mix (@p read_fraction
+ * reads, the rest fresh-key inserts): a middle-third "storm" phase whose
+ * arrival rate is @p storm times the base, between "steady" and
+ * "recovery" thirds. One "steady" phase when @p storm == 1.
+ */
+std::vector<YcsbPhase> StormPhases(double read_fraction, double storm);
+
+/**
+ * YCSB run against any KvService. Open loop (cfg.actors == 0): arrivals
+ * follow a seeded Poisson process whose rate is cfg.arrival_rate times
+ * the current phase's multiplier, and issue is fire-and-forget. Closed
+ * loop (cfg.actors > 0): each client issues its next op once the
+ * previous one completed. Either way the run drains all in-flight ops
+ * before returning, so per-phase counts sum to the run totals exactly.
+ * @p keys is the preloaded population (ascending order recommended so
+ * scans cover contiguous ranges); inserts grow it. Deterministic for a
+ * given (service, keys, cfg).
  */
 YcsbResult RunYcsb(sim::Simulator &sim, const KvService &svc,
                    const std::vector<uint64_t> &keys,

@@ -14,54 +14,20 @@
 
 #include "client/kv_client.h"
 #include "cluster/cluster.h"
+#include "cluster_test_util.h"
 #include "obs/hub.h"
 #include "sim/simulator.h"
 #include "testbed/testbed.h"
-#include "workload/kv_driver.h"
+#include "workload/ycsb.h"
 
 namespace sdf {
 namespace {
 
-cluster::ClusterConfig
-TinyCluster(uint32_t nodes, uint32_t replication)
-{
-    cluster::ClusterConfig cc;
-    cc.nodes = nodes;
-    cc.replication = replication;
-    cc.node.kv.stack.capacity_scale = 0.02;
-    cc.node.kv.stack.with_io_stack = false;
-    cc.node.kv.store.slice_count = 2;
-    cc.node.kv.stack.tune_sdf = [](core::SdfConfig &dc) {
-        dc.flash.timing = nand::FastTestTiming();
-    };
-    return cc;
-}
-
-/** Write @p count keys through the router and push them to flash, so
- *  client reads exercise real device time (memtable reads settle in zero
- *  simulated time and would never build window pressure). */
-std::vector<uint64_t>
-Preload(sim::Simulator &sim, cluster::Cluster &cl, uint64_t count)
-{
-    std::vector<uint64_t> keys;
-    uint64_t acked = 0;
-    for (uint64_t k = 1; k <= count; ++k) {
-        keys.push_back(k);
-        cl.router().Put(k, 16 * util::kKiB,
-                        [&acked](bool ok) { acked += ok; });
-    }
-    sim.Run();
-    cl.FlushAll();
-    sim.Run();
-    EXPECT_EQ(acked, count);
-    return keys;
-}
-
 TEST(KvClient, WindowQueuesExcessSubmitsAndServesThemAll)
 {
     sim::Simulator sim;
-    cluster::Cluster cl(sim, TinyCluster(1, 1));
-    const auto keys = Preload(sim, cl, 20);
+    cluster::Cluster cl(sim, SmallCluster(1, 1));
+    const auto keys = Preload(cl, 20);
 
     client::KvClientConfig kc;
     kc.window_per_node = 2;
@@ -88,8 +54,8 @@ TEST(KvClient, WindowQueuesExcessSubmitsAndServesThemAll)
 TEST(KvClient, FullQueueShedsClientSideWithTypedOverload)
 {
     sim::Simulator sim;
-    cluster::Cluster cl(sim, TinyCluster(1, 1));
-    const auto keys = Preload(sim, cl, 20);
+    cluster::Cluster cl(sim, SmallCluster(1, 1));
+    const auto keys = Preload(cl, 20);
 
     client::KvClientConfig kc;
     kc.window_per_node = 1;
@@ -126,8 +92,8 @@ TEST(KvClient, FullQueueShedsClientSideWithTypedOverload)
 TEST(KvClient, QueuedReadsCoalesceIntoBatches)
 {
     sim::Simulator sim;
-    cluster::Cluster cl(sim, TinyCluster(1, 1));
-    const auto keys = Preload(sim, cl, 17);
+    cluster::Cluster cl(sim, SmallCluster(1, 1));
+    const auto keys = Preload(cl, 17);
 
     client::KvClientConfig kc;
     kc.window_per_node = 1;
@@ -154,8 +120,8 @@ TEST(KvClient, QueuedReadsCoalesceIntoBatches)
 TEST(KvClient, HedgeAccountingStaysConsistentWithAFailSlowReplica)
 {
     sim::Simulator sim;
-    cluster::Cluster cl(sim, TinyCluster(2, 2));
-    const auto keys = Preload(sim, cl, 40);
+    cluster::Cluster cl(sim, SmallCluster(2, 2));
+    const auto keys = Preload(cl, 40);
 
     client::KvClientConfig kc;
     kc.window_per_node = 4;
@@ -165,24 +131,10 @@ TEST(KvClient, HedgeAccountingStaysConsistentWithAFailSlowReplica)
     client::KvClient client(sim, cl.router(), kc);
 
     uint64_t served = 0;
-    auto drive = [&](int reads) {
-        int next = 0;
-        std::function<void()> step = [&]() {
-            if (next >= reads) return;
-            client.Get(keys[next++ % keys.size()],
-                       [&](const kv::GetResult &r) {
-                           served += r.ok && r.found;
-                           step();
-                       });
-        };
-        for (int s = 0; s < 4; ++s) step();
-        sim.Run();
-    };
-
     // Warm the latency histogram while healthy, then degrade one node.
-    drive(64);
+    DriveReads(sim, client, keys, 64, served);
     cl.node(0).SetFailSlow(10.0);
-    drive(200);
+    DriveReads(sim, client, keys, 200, served);
 
     EXPECT_EQ(served, 264u);
     const client::HedgeStats &hs = client.hedge_stats();
@@ -199,8 +151,8 @@ TEST(KvClient, HedgeAccountingStaysConsistentWithAFailSlowReplica)
 TEST(KvClient, DeadlineOutcomesAreTyped)
 {
     sim::Simulator sim;
-    cluster::Cluster cl(sim, TinyCluster(1, 1));
-    const auto keys = Preload(sim, cl, 8);
+    cluster::Cluster cl(sim, SmallCluster(1, 1));
+    const auto keys = Preload(cl, 8);
 
     client::KvClientConfig kc;
     // Tighter than the one-way propagation delay: nothing can finish.
@@ -238,18 +190,8 @@ TEST(KvClient, SameSeedOpenLoopRunsExportByteIdenticalStats)
         obs::Hub hub;
         sim::Simulator sim;
         sim.set_hub(&hub);
-        cluster::Cluster cl(sim, TinyCluster(2, 2));
-        std::vector<uint64_t> keys;
-        uint64_t acked = 0;
-        for (uint64_t k = 1; k <= 30; ++k) {
-            keys.push_back(k);
-            cl.router().Put(k, 16 * util::kKiB,
-                            [&acked](bool ok) { acked += ok; });
-        }
-        sim.Run();
-        cl.FlushAll();
-        sim.Run();
-        EXPECT_EQ(acked, 30u);
+        cluster::Cluster cl(sim, SmallCluster(2, 2));
+        const auto keys = Preload(cl, 30);
 
         client::KvClientConfig kc;
         kc.window_per_node = 8;
@@ -257,15 +199,13 @@ TEST(KvClient, SameSeedOpenLoopRunsExportByteIdenticalStats)
         kc.deadline = util::MsToNs(10.0);
         client::KvClient client(sim, cl.router(), kc);
 
-        workload::OpenRunConfig oc;
-        oc.arrival_rate = 15000;
-        oc.value_bytes = 16 * util::kKiB;
-        oc.duration = util::MsToNs(40);
-        oc.storm_factor = 3.0;
-        oc.storm_start = util::MsToNs(15);
-        oc.storm_end = util::MsToNs(25);
-        oc.seed = 42;
-        workload::RunOpenLoad(sim, client.Service(), keys, oc);
+        workload::YcsbConfig cfg;
+        cfg.arrival_rate = 15000;
+        cfg.value_bytes = 16 * util::kKiB;
+        cfg.duration = util::MsToNs(40);
+        cfg.phases = workload::StormPhases(0.9, 3.0);
+        cfg.seed = 42;
+        workload::RunYcsb(sim, client.Service(), keys, cfg);
         return obs::StatsJson(hub, {{"run", "client"}}, {});
     };
     const std::string a = run_once();

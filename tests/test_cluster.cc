@@ -17,6 +17,7 @@
 
 #include "blocklayer/block_layer.h"
 #include "cluster/cluster.h"
+#include "cluster_test_util.h"
 #include "cluster/hash_ring.h"
 #include "fault/fault.h"
 #include "net/network.h"
@@ -26,7 +27,7 @@
 #include "ssd/conventional_ssd.h"
 #include "ssd/ssd_block_device.h"
 #include "testbed/testbed.h"
-#include "workload/kv_driver.h"
+#include "workload/ycsb.h"
 
 namespace sdf {
 namespace {
@@ -206,7 +207,9 @@ TEST(Testbed, SameKvWorkloadRunsOnEitherBackend)
         const workload::KvService svc = workload::ServiceFor(*stack.store);
         int acked = 0, found = 0;
         for (uint64_t key = 1; key <= 40; ++key) {
-            svc.put(key, 32 * util::kKiB, [&](bool ok) { acked += ok; });
+            svc.put(key, 32 * util::kKiB, [&](kv::OpStatus s) {
+                acked += s == kv::OpStatus::kOk;
+            });
         }
         sim.Run();
         for (uint32_t s = 0; s < stack.store->slice_count(); ++s) {
@@ -227,21 +230,6 @@ TEST(Testbed, SameKvWorkloadRunsOnEitherBackend)
 // ---------------------------------------------------------------------------
 // Cluster
 // ---------------------------------------------------------------------------
-
-cluster::ClusterConfig
-SmallCluster(uint32_t nodes, uint32_t replication)
-{
-    cluster::ClusterConfig cc;
-    cc.nodes = nodes;
-    cc.replication = replication;
-    cc.node.kv.stack.capacity_scale = 0.02;
-    cc.node.kv.stack.with_io_stack = false;
-    cc.node.kv.store.slice_count = 2;
-    cc.node.kv.stack.tune_sdf = [](core::SdfConfig &dc) {
-        dc.flash.timing = nand::FastTestTiming();
-    };
-    return cc;
-}
 
 TEST(Cluster, PutGetSpreadsAcrossNodes)
 {
@@ -315,21 +303,14 @@ TEST(Cluster, SameSeedRunsExportByteIdenticalStats)
         sim::Simulator sim;
         sim.set_hub(&hub);
         cluster::Cluster cl(sim, SmallCluster(3, 2));
-        std::vector<uint64_t> keys;
-        for (uint64_t k = 1; k <= 30; ++k) {
-            keys.push_back(k);
-            cl.router().Put(k, 16 * util::kKiB, [](bool) {});
-        }
-        sim.Run();
-        cl.FlushAll();
-        sim.Run();
-        workload::MixedRunConfig mc;
-        mc.actors = 4;
-        mc.value_bytes = 16 * util::kKiB;
-        mc.duration = util::MsToNs(120);
-        mc.seed = 99;
-        const workload::KvService svc = cl.Service();
-        workload::RunMixedLoad(sim, svc, keys, mc);
+        const std::vector<uint64_t> keys = Preload(cl, 30);
+        workload::YcsbConfig cfg;
+        cfg.actors = 4;
+        cfg.phases = workload::StormPhases(0.9, 1.0);
+        cfg.value_bytes = 16 * util::kKiB;
+        cfg.duration = util::MsToNs(120);
+        cfg.seed = 99;
+        workload::RunYcsb(sim, cl.Service(), keys, cfg);
         return obs::StatsJson(hub, {{"run", "cluster"}}, {});
     };
     const std::string a = run_once();
@@ -342,14 +323,7 @@ TEST(Cluster, NodeDeathLosesNoAcknowledgedWrites)
 {
     sim::Simulator sim;
     cluster::Cluster cl(sim, SmallCluster(3, 2));
-    std::vector<uint64_t> keys;
-    for (uint64_t k = 1; k <= 30; ++k) {
-        keys.push_back(k);
-        cl.router().Put(k, 16 * util::kKiB, [](bool) {});
-    }
-    sim.Run();
-    cl.FlushAll();
-    sim.Run();
+    const std::vector<uint64_t> keys = Preload(cl, 30);
 
     // Kill every channel of node 0's device shortly into the window.
     std::vector<fault::FaultEvent> events;
@@ -365,34 +339,20 @@ TEST(Cluster, NodeDeathLosesNoAcknowledgedWrites)
     fault::FaultInjector injector(sim, cl.SdfDevices(),
                                   fault::FaultPlan(std::move(events)));
 
-    workload::MixedRunConfig mc;
-    mc.read_fraction = 0.5;
-    mc.actors = 4;
-    mc.value_bytes = 16 * util::kKiB;
-    mc.duration = util::MsToNs(150);
-    const workload::KvService svc = cl.Service();
-    const auto r = workload::RunMixedLoad(sim, svc, keys, mc);
+    workload::YcsbConfig cfg;
+    cfg.actors = 4;
+    cfg.phases = workload::StormPhases(0.5, 1.0);
+    cfg.value_bytes = 16 * util::kKiB;
+    cfg.duration = util::MsToNs(150);
+    const auto r = workload::RunYcsb(sim, cl.Service(), keys, cfg);
     ASSERT_EQ(injector.stats().deaths,
               cl.node(0).sdf_device()->channel_count());
     ASSERT_GT(r.acked_writes.size(), 0u);
 
-    // Every acknowledged write must still be readable (closed-loop audit
-    // so RPC queues don't overflow the timeout).
-    uint64_t lost = 0, audited = 0;
-    size_t next = 0;
-    std::function<void()> audit = [&]() {
-        if (next >= r.acked_writes.size()) return;
-        cl.router().Get(r.acked_writes[next++],
-                        [&](const kv::GetResult &res) {
-                            ++audited;
-                            if (!res.ok || !res.found) ++lost;
-                            audit();
-                        });
-    };
-    for (int s = 0; s < 4; ++s) audit();
-    sim.Run();
-    EXPECT_EQ(audited, r.acked_writes.size());
-    EXPECT_EQ(lost, 0u);
+    // Every acknowledged write must still be readable.
+    const cluster::AuditResult audit = cl.AuditAcked(r.acked_writes);
+    EXPECT_EQ(audit.audited, r.acked_writes.size());
+    EXPECT_EQ(audit.lost, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -550,14 +510,7 @@ TEST(Cluster, BreakerDemotesFailSlowNodeAndRecovers)
     cc.breaker.reset_factor = 1.3;
     cluster::Cluster cl(sim, cc);
 
-    std::vector<uint64_t> keys;
-    for (uint64_t k = 1; k <= 60; ++k) {
-        keys.push_back(k);
-        cl.router().Put(k, 16 * util::kKiB, [](bool) {});
-    }
-    sim.Run();
-    cl.FlushAll();
-    sim.Run();
+    const std::vector<uint64_t> keys = Preload(cl, 60);
 
     // Slow down whichever node is primary for the first key: that key's
     // reads walk the victim first unless the breaker demotes it.

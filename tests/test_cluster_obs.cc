@@ -18,6 +18,7 @@
 
 #include "client/kv_client.h"
 #include "cluster/cluster.h"
+#include "cluster_test_util.h"
 #include "obs/hub.h"
 #include "obs/series.h"
 #include "sim/simulator.h"
@@ -26,58 +27,6 @@
 
 namespace sdf {
 namespace {
-
-cluster::ClusterConfig
-TinyCluster(uint32_t nodes, uint32_t replication)
-{
-    cluster::ClusterConfig cc;
-    cc.nodes = nodes;
-    cc.replication = replication;
-    cc.node.kv.stack.capacity_scale = 0.02;
-    cc.node.kv.stack.with_io_stack = false;
-    cc.node.kv.store.slice_count = 2;
-    cc.node.kv.stack.tune_sdf = [](core::SdfConfig &dc) {
-        dc.flash.timing = nand::FastTestTiming();
-    };
-    return cc;
-}
-
-/** Preload @p count keys through the router and flush them to flash so
- *  reads exercise real (nonzero) device time. */
-std::vector<uint64_t>
-Preload(sim::Simulator &sim, cluster::Cluster &cl, uint64_t count)
-{
-    std::vector<uint64_t> keys;
-    uint64_t acked = 0;
-    for (uint64_t k = 1; k <= count; ++k) {
-        keys.push_back(k);
-        cl.router().Put(k, 16 * util::kKiB,
-                        [&acked](bool ok) { acked += ok; });
-    }
-    sim.Run();
-    cl.FlushAll();
-    sim.Run();
-    EXPECT_EQ(acked, count);
-    return keys;
-}
-
-/** Closed-loop read driver at width 4 (the test_client.cc idiom). */
-void
-DriveReads(sim::Simulator &sim, client::KvClient &client,
-           const std::vector<uint64_t> &keys, int reads, uint64_t &served)
-{
-    int next = 0;
-    std::function<void()> step = [&]() {
-        if (next >= reads) return;
-        client.Get(keys[next++ % keys.size()],
-                   [&](const kv::GetResult &r) {
-                       served += r.ok && r.found;
-                       step();
-                   });
-    };
-    for (int s = 0; s < 4; ++s) step();
-    sim.Run();
-}
 
 // ---------------------------------------------------------------------------
 // Trace-context propagation + hedge linkage
@@ -89,8 +38,8 @@ TEST(ClusterObs, HedgedReadEventsShareOneTraceIdAcrossTracks)
     hub.EnableTrace();
     sim::Simulator sim;
     sim.set_hub(&hub);
-    cluster::Cluster cl(sim, TinyCluster(2, 2));
-    const auto keys = Preload(sim, cl, 40);
+    cluster::Cluster cl(sim, SmallCluster(2, 2));
+    const auto keys = Preload(cl, 40);
 
     client::KvClientConfig kc;
     kc.window_per_node = 4;
@@ -159,8 +108,8 @@ TEST(ClusterObs, ClientPathStagesTileEndToEndExactly)
     obs::Hub hub;  // No trace: path attribution must not require tracing.
     sim::Simulator sim;
     sim.set_hub(&hub);
-    cluster::Cluster cl(sim, TinyCluster(2, 2));
-    const auto keys = Preload(sim, cl, 40);
+    cluster::Cluster cl(sim, SmallCluster(2, 2));
+    const auto keys = Preload(cl, 40);
 
     client::KvClientConfig kc;
     kc.window_per_node = 2;  // Force queueing: client_queue must be > 0.
@@ -225,8 +174,8 @@ RunInstrumentedCluster(uint64_t seed)
     obs::SeriesRecorder series;
     sim::Simulator sim;
     sim.set_hub(&hub);
-    cluster::Cluster cl(sim, TinyCluster(2, 2));
-    const auto keys = Preload(sim, cl, 40);
+    cluster::Cluster cl(sim, SmallCluster(2, 2));
+    const auto keys = Preload(cl, 40);
 
     client::KvClientConfig kc;
     kc.window_per_node = 4;
@@ -268,8 +217,8 @@ TEST(ClusterObs, SeriesWindowsAreContiguousAndLocalizeTheFault)
     obs::SeriesRecorder series;
     sim::Simulator sim;
     sim.set_hub(&hub);
-    cluster::Cluster cl(sim, TinyCluster(2, 2));
-    const auto keys = Preload(sim, cl, 40);
+    cluster::Cluster cl(sim, SmallCluster(2, 2));
+    const auto keys = Preload(cl, 40);
 
     client::KvClientConfig kc;
     kc.window_per_node = 4;

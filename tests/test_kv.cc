@@ -426,6 +426,67 @@ TEST(Slice, PayloadsSurviveFlushAndCompaction)
     }
 }
 
+TEST(Slice, FailedCompactionReadAbortsAndKeepsInputs)
+{
+    // Payload mode, two flushes of four 64 KiB keys, and channel 0 dies
+    // as soon as the merge starts, so an input read fails. Merging the
+    // unread input would copy zeros into the output and serve acked keys
+    // as found with the wrong bytes. The merge must abort instead: the
+    // inputs stay indexed and journaled, and every acked key reads back
+    // either its exact bytes or a reported error (ok == false).
+    SliceConfig cfg;
+    cfg.store_payloads = true;
+    cfg.compaction_trigger = 2;
+    SliceFixture f(cfg, /*payloads=*/true);
+    SliceJournal journal;
+    f.slice = std::make_unique<Slice>(f.sim, f.storage, f.ids, cfg, &journal);
+
+    auto value = [](uint64_t k) {
+        return std::make_shared<std::vector<uint8_t>>(
+            util::MakeDeterministicPayload(64 * 1024, k * 7 + 1));
+    };
+    for (uint64_t k = 0; k < 4; ++k) {
+        f.slice->Put(k, 64 * 1024, nullptr, value(k));
+    }
+    f.slice->Flush();
+    f.sim.Run();
+    for (uint64_t k = 4; k < 8; ++k) {
+        f.slice->Put(k, 64 * 1024, nullptr, value(k));
+    }
+    f.slice->Flush();
+    f.sim.RunWhileNot([&]() { return f.slice->compaction_active(); });
+    ASSERT_TRUE(f.slice->compaction_active());
+    const std::vector<uint64_t> inputs = f.slice->AllPatchIds();
+    ASSERT_EQ(inputs.size(), 2u);
+    f.device.flash().channel(0).InjectDeath();
+    f.sim.Run();
+
+    EXPECT_EQ(f.slice->stats().compactions, 1u);
+    EXPECT_EQ(f.slice->stats().compaction_aborts, 1u);
+    EXPECT_FALSE(f.slice->compaction_active());
+    EXPECT_EQ(f.slice->AllPatchIds(), inputs);
+    ASSERT_EQ(journal.patches.size(), 2u);
+    for (uint64_t id : inputs) EXPECT_EQ(journal.patches.count(id), 1u);
+
+    uint64_t exact = 0, errors = 0;
+    for (uint64_t k = 0; k < 8; ++k) {
+        GetResult r;
+        f.slice->Get(k, [&](const GetResult &g) { r = g; });
+        f.sim.Run();
+        if (!r.ok) {
+            ++errors;
+            continue;
+        }
+        ASSERT_TRUE(r.found) << "acked key " << k << " lost";
+        ASSERT_TRUE(r.payload != nullptr) << "key " << k;
+        EXPECT_EQ(*r.payload, *value(k)) << "key " << k << " corrupted";
+        ++exact;
+    }
+    // The dead channel really held an input: some reads fail, reported.
+    EXPECT_GT(errors, 0u);
+    EXPECT_GT(exact, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Store and facades
 // ---------------------------------------------------------------------------

@@ -22,13 +22,14 @@
 #include <vector>
 
 #include "cluster/cluster.h"
+#include "cluster_test_util.h"
 #include "cluster/hash_ring.h"
 #include "cluster/rebalancer.h"
 #include "kv/recovery.h"
 #include "obs/hub.h"
 #include "sim/simulator.h"
 #include "testbed/testbed.h"
-#include "workload/kv_driver.h"
+#include "workload/ycsb.h"
 
 namespace sdf {
 namespace {
@@ -228,21 +229,6 @@ TEST(StoreRecovery, JournalMirrorsStoredPatches)
 // Cluster node restart
 // ---------------------------------------------------------------------------
 
-cluster::ClusterConfig
-SmallCluster(uint32_t nodes, uint32_t replication)
-{
-    cluster::ClusterConfig cc;
-    cc.nodes = nodes;
-    cc.replication = replication;
-    cc.node.kv.stack.capacity_scale = 0.02;
-    cc.node.kv.stack.with_io_stack = false;
-    cc.node.kv.store.slice_count = 2;
-    cc.node.kv.stack.tune_sdf = [](core::SdfConfig &dc) {
-        dc.flash.timing = nand::FastTestTiming();
-    };
-    return cc;
-}
-
 /** Put keys [first, last] through the router; all must ack. */
 void
 PutRange(sim::Simulator &sim, cluster::Cluster &cl, uint64_t first,
@@ -259,21 +245,12 @@ PutRange(sim::Simulator &sim, cluster::Cluster &cl, uint64_t first,
 
 /** Closed-loop read-back of keys [first, last]; returns #found. */
 uint64_t
-AuditRange(sim::Simulator &sim, cluster::Cluster &cl, uint64_t first,
-           uint64_t last)
+AuditRange(cluster::Cluster &cl, uint64_t first, uint64_t last)
 {
-    uint64_t found = 0;
-    uint64_t next = first;
-    std::function<void()> step = [&]() {
-        if (next > last) return;
-        cl.router().Get(next++, [&](const kv::GetResult &r) {
-            found += r.ok && r.found;
-            step();
-        });
-    };
-    for (int s = 0; s < 4; ++s) step();
-    sim.Run();
-    return found;
+    std::vector<uint64_t> keys;
+    for (uint64_t key = first; key <= last; ++key) keys.push_back(key);
+    const cluster::AuditResult audit = cl.AuditAcked(keys);
+    return audit.audited - audit.lost;
 }
 
 TEST(ClusterRecovery, RestartPreservesEveryAckedWrite)
@@ -281,9 +258,7 @@ TEST(ClusterRecovery, RestartPreservesEveryAckedWrite)
     sim::Simulator sim;
     cluster::Cluster cl(sim, SmallCluster(3, 2));
     // Flushed generation: on-device patches at stop time.
-    PutRange(sim, cl, 1, 30, 16 * util::kKiB);
-    cl.FlushAll();
-    sim.Run();
+    Preload(cl, 30);
     // Unflushed generation: lives only in memtables + the WAL mirror.
     PutRange(sim, cl, 31, 50, 16 * util::kKiB);
 
@@ -311,7 +286,7 @@ TEST(ClusterRecovery, RestartPreservesEveryAckedWrite)
     EXPECT_GT(rec.last_recovery_ns, 0u);
     EXPECT_GT(sim.Now(), t_stop);
 
-    EXPECT_EQ(AuditRange(sim, cl, 1, 60), 60u);
+    EXPECT_EQ(AuditRange(cl, 1, 60), 60u);
     EXPECT_EQ(cl.rebalancer().CountUnderReplicated(), 0u);
 }
 
@@ -319,9 +294,7 @@ TEST(ClusterRecovery, EpochChangeMidGetRestartsAgainstFreshPlacement)
 {
     sim::Simulator sim;
     cluster::Cluster cl(sim, SmallCluster(3, 2));
-    PutRange(sim, cl, 1, 40, 16 * util::kKiB);
-    cl.FlushAll();
-    sim.Run();
+    Preload(cl, 40);
     EXPECT_EQ(cl.router().epoch(), 0u);
 
     // Launch a wave of gets and kill a node while they are in flight:
@@ -402,9 +375,7 @@ TEST(Rebalance, AntiEntropyRestoresRedundancyAndReportsIt)
     sim::Simulator sim;
     sim.set_hub(&hub);
     cluster::Cluster cl(sim, SmallCluster(4, 2));
-    PutRange(sim, cl, 1, 40, 16 * util::kKiB);
-    cl.FlushAll();
-    sim.Run();
+    Preload(cl, 40);
 
     cl.StopNode(3);
     const uint64_t degraded = cl.rebalancer().CountUnderReplicated();
@@ -430,7 +401,7 @@ TEST(Rebalance, AntiEntropyRestoresRedundancyAndReportsIt)
     EXPECT_GT(bulk, 0u);
 
     // All 40 keys remain readable through the 3 survivors.
-    EXPECT_EQ(AuditRange(sim, cl, 1, 40), 40u);
+    EXPECT_EQ(AuditRange(cl, 1, 40), 40u);
 }
 
 TEST(Rebalance, SameSeedRestartRunsExportByteIdenticalStats)
@@ -440,29 +411,19 @@ TEST(Rebalance, SameSeedRestartRunsExportByteIdenticalStats)
         sim::Simulator sim;
         sim.set_hub(&hub);
         cluster::Cluster cl(sim, SmallCluster(3, 2));
-        std::vector<uint64_t> keys;
-        int acked = 0;
-        for (uint64_t k = 1; k <= 30; ++k) {
-            keys.push_back(k);
-            cl.router().Put(k, 16 * util::kKiB,
-                            [&acked](bool ok) { acked += ok; });
-        }
-        sim.Run();
-        cl.FlushAll();
-        sim.Run();
+        const std::vector<uint64_t> keys = Preload(cl, 30);
 
         const util::TimeNs t0 = sim.Now();
         sim.ScheduleAt(t0 + util::MsToNs(30), [&cl]() { cl.StopNode(1); });
         sim.ScheduleAt(t0 + util::MsToNs(70),
                        [&cl]() { cl.RestartNode(1); });
-        workload::MixedRunConfig mc;
-        mc.actors = 4;
-        mc.read_fraction = 0.7;
-        mc.value_bytes = 16 * util::kKiB;
-        mc.duration = util::MsToNs(150);
-        mc.seed = 99;
-        const workload::KvService svc = cl.Service();
-        workload::RunMixedLoad(sim, svc, keys, mc);
+        workload::YcsbConfig cfg;
+        cfg.actors = 4;
+        cfg.phases = workload::StormPhases(0.7, 1.0);
+        cfg.value_bytes = 16 * util::kKiB;
+        cfg.duration = util::MsToNs(150);
+        cfg.seed = 99;
+        workload::RunYcsb(sim, cl.Service(), keys, cfg);
         sim.Run();
         return obs::StatsJson(hub, {{"run", "recovery"}}, {});
     };

@@ -6,8 +6,9 @@
  * determinism contract, pinned), key-chooser and value-distribution
  * behavior through an instrumented fake service, exact phase-boundary
  * accounting (per-phase counts sum to run totals; SLO violations
- * localize to the phase that caused them), and cluster range-scan
- * correctness under concurrent writes and a mid-run node restart.
+ * localize to the phase that caused them), the closed-loop mode, and
+ * cluster range-scan correctness under concurrent writes and a mid-run
+ * node restart.
  */
 #include <gtest/gtest.h>
 
@@ -17,10 +18,13 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "client/kv_client.h"
 #include "cluster/cluster.h"
+#include "cluster_test_util.h"
 #include "sim/simulator.h"
 #include "testbed/testbed.h"
 #include "util/rng.h"
@@ -219,8 +223,17 @@ struct FakeService
     std::vector<uint64_t> put_keys;
     std::vector<uint32_t> put_sizes;
     std::vector<std::pair<uint64_t, uint32_t>> scan_calls;
+    /** Ops issued but not yet completed, and the most ever at once. */
+    uint64_t inflight = 0;
+    uint64_t max_inflight = 0;
 
     explicit FakeService(sim::Simulator &s) : sim(s) {}
+
+    void
+    Issue()
+    {
+        max_inflight = std::max(max_inflight, ++inflight);
+    }
 
     workload::KvService
     Service()
@@ -228,8 +241,10 @@ struct FakeService
         workload::KvService svc;
         svc.get = [this](uint64_t key, kv::GetCallback done) {
             get_keys.push_back(key);
+            Issue();
             auto d = std::make_shared<kv::GetCallback>(std::move(done));
-            sim.Schedule(latency(), [d]() {
+            sim.Schedule(latency(), [this, d]() {
+                --inflight;
                 kv::GetResult r;
                 r.ok = true;
                 r.found = true;
@@ -237,16 +252,23 @@ struct FakeService
                 (*d)(r);
             });
         };
-        svc.put = [this](uint64_t key, uint32_t size, kv::PutCallback done) {
+        svc.put = [this](uint64_t key, uint32_t size,
+                         kv::PutStatusCallback done) {
             put_keys.push_back(key);
             put_sizes.push_back(size);
-            auto d = std::make_shared<kv::PutCallback>(std::move(done));
-            sim.Schedule(latency(), [d]() { (*d)(true); });
+            Issue();
+            auto d = std::make_shared<kv::PutStatusCallback>(std::move(done));
+            sim.Schedule(latency(), [this, d]() {
+                --inflight;
+                (*d)(kv::OpStatus::kOk);
+            });
         };
         svc.scan = [this](uint64_t start, uint32_t limit,
                           std::function<void(const kv::ScanResult &)> done) {
             scan_calls.emplace_back(start, limit);
-            sim.Schedule(latency(), [done]() {
+            Issue();
+            sim.Schedule(latency(), [this, done]() {
+                --inflight;
                 kv::ScanResult r;
                 r.entries.push_back({1, 16});
                 r.scanned_bytes = 16;
@@ -411,43 +433,58 @@ TEST(RunYcsb, ValueDistributionsRespectBounds)
 
 TEST(RunYcsb, SameSeedIsDeterministic)
 {
-    auto run = []() {
-        sim::Simulator sim;
-        FakeService fake(sim);
-        workload::YcsbConfig cfg;
-        cfg.arrival_rate = 20000;
-        cfg.duration = util::SecToNs(0.5);
-        cfg.seed = 21;
-        cfg = workload::YcsbProfile("storm", cfg);
-        const auto keys = SequentialKeys(500);
-        return workload::RunYcsb(sim, fake.Service(), keys, cfg);
-    };
-    const auto a = run();
-    const auto b = run();
-    EXPECT_EQ(a.issued, b.issued);
-    EXPECT_EQ(a.acked_writes, b.acked_writes);
-    ASSERT_EQ(a.phases.size(), b.phases.size());
-    for (size_t i = 0; i < a.phases.size(); ++i) {
-        EXPECT_EQ(a.phases[i].issued, b.phases[i].issued);
-        EXPECT_EQ(a.phases[i].completed, b.phases[i].completed);
-        EXPECT_EQ(a.phases[i].slo_violations, b.phases[i].slo_violations);
-        EXPECT_EQ(a.phases[i].p99_ms, b.phases[i].p99_ms);
+    // Open loop, then closed loop (4 clients).
+    for (const uint32_t actors : {0u, 4u}) {
+        auto run = [actors]() {
+            sim::Simulator sim;
+            FakeService fake(sim);
+            workload::YcsbConfig cfg;
+            cfg.arrival_rate = 20000;
+            cfg.duration = util::SecToNs(0.5);
+            cfg.seed = 21;
+            cfg = workload::YcsbProfile("storm", cfg);
+            cfg.actors = actors;
+            const auto keys = SequentialKeys(500);
+            return workload::RunYcsb(sim, fake.Service(), keys, cfg);
+        };
+        const auto a = run();
+        const auto b = run();
+        EXPECT_EQ(a.issued, b.issued);
+        EXPECT_EQ(a.acked_writes, b.acked_writes);
+        ASSERT_EQ(a.phases.size(), b.phases.size());
+        for (size_t i = 0; i < a.phases.size(); ++i) {
+            EXPECT_EQ(a.phases[i].issued, b.phases[i].issued);
+            EXPECT_EQ(a.phases[i].completed, b.phases[i].completed);
+            EXPECT_EQ(a.phases[i].slo_violations,
+                      b.phases[i].slo_violations);
+            EXPECT_EQ(a.phases[i].p99_ms, b.phases[i].p99_ms);
+        }
     }
 }
 
-TEST(RunYcsb, PhaseCountsSumExactlyToTotals)
-{
-    sim::Simulator sim;
-    FakeService fake(sim);
-    workload::YcsbConfig cfg;
-    cfg.arrival_rate = 30000;
-    cfg.duration = util::SecToNs(1.0);
-    cfg.seed = 23;
-    cfg = workload::YcsbProfile("diurnal", cfg);
-    const auto keys = SequentialKeys(500);
-    const auto r = workload::RunYcsb(sim, fake.Service(), keys, cfg);
+// ---------------------------------------------------------------------------
+// Closed-loop mode: N clients, each issuing its next op on completion.
+// ---------------------------------------------------------------------------
 
-    ASSERT_EQ(r.phases.size(), 4u);
+workload::YcsbResult
+RunClosedLoop(FakeService &fake, sim::Simulator &sim, uint32_t actors,
+              uint64_t seed)
+{
+    workload::YcsbConfig cfg;
+    cfg.actors = actors;
+    cfg.arrival_rate = 1;  // Ignored in closed-loop mode.
+    cfg.duration = util::MsToNs(200);
+    cfg.seed = seed;
+    // The storm's 3x rate multiplier must not apply to a closed loop.
+    cfg.phases = workload::StormPhases(0.7, 3.0);
+    return workload::RunYcsb(sim, fake.Service(), SequentialKeys(500), cfg);
+}
+
+/** Per-phase counts must sum exactly to the run totals, and the run
+ *  must drain (every issued op completed and was attributed). */
+void
+ExpectPhasesSumToTotals(const workload::YcsbResult &r)
+{
     uint64_t issued = 0, completed = 0, ok = 0, viol = 0;
     for (const auto &p : r.phases) {
         issued += p.issued;
@@ -457,11 +494,32 @@ TEST(RunYcsb, PhaseCountsSumExactlyToTotals)
     }
     EXPECT_EQ(issued, r.issued);
     EXPECT_EQ(completed, r.completed);
-    // The run drains: every issued op completed and was attributed.
     EXPECT_EQ(r.completed, r.issued);
     EXPECT_EQ(ok, r.ok_reads + r.ok_updates + r.ok_inserts + r.ok_scans);
     EXPECT_EQ(viol, r.slo_violations);
+}
 
+TEST(RunYcsb, PhaseCountsSumExactlyToTotals)
+{
+    auto run = [](const std::string &profile, double storm) {
+        sim::Simulator sim;
+        FakeService fake(sim);
+        workload::YcsbConfig cfg;
+        cfg.arrival_rate = 30000;
+        cfg.duration = util::SecToNs(1.0);
+        cfg.seed = 23;
+        if (profile == "storm-schedule") {
+            cfg.phases = workload::StormPhases(0.9, storm);
+        } else {
+            cfg = workload::YcsbProfile(profile, cfg);
+        }
+        const auto keys = SequentialKeys(500);
+        return workload::RunYcsb(sim, fake.Service(), keys, cfg);
+    };
+
+    const auto r = run("diurnal", 0);
+    ASSERT_EQ(r.phases.size(), 4u);
+    ExpectPhasesSumToTotals(r);
     // The diurnal rate ramp is visible in the issue counts: noon (x2)
     // issues roughly twice morning (x1), morning roughly twice night
     // (x0.5). Poisson noise at these counts is ~2%.
@@ -470,6 +528,55 @@ TEST(RunYcsb, PhaseCountsSumExactlyToTotals)
     const double noon = static_cast<double>(r.phases[2].issued);
     EXPECT_NEAR(morning / night, 2.0, 0.3);
     EXPECT_NEAR(noon / morning, 2.0, 0.3);
+
+    // The storm schedule: equal thirds, the middle one offering `storm`
+    // times the arrivals of its neighbours.
+    const auto s = run("storm-schedule", 2.5);
+    ASSERT_EQ(s.phases.size(), 3u);
+    ExpectPhasesSumToTotals(s);
+    const double steady = static_cast<double>(s.phases[0].issued);
+    const double storm = static_cast<double>(s.phases[1].issued);
+    const double recovery = static_cast<double>(s.phases[2].issued);
+    EXPECT_NEAR(storm / steady, 2.5, 0.3);
+    EXPECT_NEAR(recovery / steady, 1.0, 0.15);
+    // No storm: one steady phase.
+    EXPECT_EQ(workload::StormPhases(0.9, 1.0).size(), 1u);
+
+    // Closed loop over the storm schedule, against a service that is
+    // slow in the middle third: the phases issue different counts, and
+    // attribution by issue time still sums exactly.
+    sim::Simulator sim;
+    FakeService fake(sim);
+    fake.latency = [&sim]() {
+        const TimeNs now = sim.Now();
+        return now >= util::MsToNs(67) && now < util::MsToNs(133)
+                   ? util::UsToNs(400)
+                   : util::UsToNs(100);
+    };
+    const auto c = RunClosedLoop(fake, sim, 6, 47);
+    ASSERT_EQ(c.phases.size(), 3u);
+    ExpectPhasesSumToTotals(c);
+    EXPECT_LT(c.phases[1].issued, c.phases[0].issued);
+    EXPECT_EQ(c.ok_inserts, c.acked_writes.size());
+}
+
+TEST(RunYcsb, ClosedLoopKeepsAtMostActorsInFlight)
+{
+    sim::Simulator sim;
+    FakeService fake(sim);
+    const auto r = RunClosedLoop(fake, sim, 5, 41);
+    EXPECT_EQ(fake.max_inflight, 5u);
+    EXPECT_EQ(fake.inflight, 0u);
+    // 5 clients x 200 ms / 100 us per op, whatever the phase multiplier:
+    // the offered load follows the service, not a clock.
+    EXPECT_NEAR(static_cast<double>(r.issued), 10000.0, 50.0);
+    ASSERT_EQ(r.phases.size(), 3u);
+    EXPECT_NEAR(static_cast<double>(r.phases[1].issued),
+                static_cast<double>(r.phases[0].issued), 50.0);
+    EXPECT_GT(r.read_bytes, 0u);
+    EXPECT_GT(r.write_bytes, 0u);
+    EXPECT_NEAR(r.read_mean_ms, 0.1, 1e-3);
+    EXPECT_NEAR(r.write_p99_ms, 0.1, 1e-2);
 }
 
 TEST(RunYcsb, SloViolationsLocalizeToTheSlowPhase)
@@ -527,38 +634,6 @@ TEST(RunYcsb, ProfilesHaveDocumentedShapes)
 // Cluster range scans: exactness under concurrent writes and restart.
 // ---------------------------------------------------------------------------
 
-cluster::ClusterConfig
-TinyCluster(uint32_t nodes, uint32_t replication)
-{
-    cluster::ClusterConfig cc;
-    cc.nodes = nodes;
-    cc.replication = replication;
-    cc.node.kv.stack.capacity_scale = 0.02;
-    cc.node.kv.stack.with_io_stack = false;
-    cc.node.kv.store.slice_count = 2;
-    cc.node.kv.stack.tune_sdf = [](core::SdfConfig &dc) {
-        dc.flash.timing = nand::FastTestTiming();
-    };
-    return cc;
-}
-
-std::vector<uint64_t>
-Preload(sim::Simulator &sim, cluster::Cluster &cl, uint64_t count)
-{
-    std::vector<uint64_t> keys;
-    uint64_t acked = 0;
-    for (uint64_t k = 1; k <= count; ++k) {
-        keys.push_back(k);
-        cl.router().Put(k, 16 * util::kKiB,
-                        [&acked](bool ok) { acked += ok; });
-    }
-    sim.Run();
-    cl.FlushAll();
-    sim.Run();
-    EXPECT_EQ(acked, count);
-    return keys;
-}
-
 /** Synchronous-style scan helper: runs the sim until the result lands. */
 kv::ScanResult
 ScanNow(sim::Simulator &sim, client::KvClient &client, uint64_t start,
@@ -578,8 +653,8 @@ ScanNow(sim::Simulator &sim, client::KvClient &client, uint64_t start,
 TEST(ClusterScan, ReturnsExactlyTheLiveOrderedRange)
 {
     sim::Simulator sim;
-    cluster::Cluster cl(sim, TinyCluster(3, 2));
-    Preload(sim, cl, 40);
+    cluster::Cluster cl(sim, SmallCluster(3, 2));
+    Preload(cl, 40);
     client::KvClient client(sim, cl.router());
 
     const auto r = ScanNow(sim, client, 10, 12);
@@ -606,8 +681,8 @@ TEST(ClusterScan, ReturnsExactlyTheLiveOrderedRange)
 TEST(ClusterScan, SeesWritesCommittedBeforeTheScan)
 {
     sim::Simulator sim;
-    cluster::Cluster cl(sim, TinyCluster(3, 2));
-    Preload(sim, cl, 20);
+    cluster::Cluster cl(sim, SmallCluster(3, 2));
+    Preload(cl, 20);
     client::KvClient client(sim, cl.router());
 
     // Interleave: new keys (WAL/memtable-resident, never flushed) land
@@ -637,8 +712,8 @@ TEST(ClusterScan, SeesWritesCommittedBeforeTheScan)
 TEST(ClusterScan, FailsTypedWhenMembershipChangesMidScan)
 {
     sim::Simulator sim;
-    cluster::Cluster cl(sim, TinyCluster(3, 2));
-    Preload(sim, cl, 30);
+    cluster::Cluster cl(sim, SmallCluster(3, 2));
+    Preload(cl, 30);
     client::KvClient client(sim, cl.router());
 
     // Launch the scan, then change membership before it completes: the
@@ -661,8 +736,8 @@ TEST(ClusterScan, FailsTypedWhenMembershipChangesMidScan)
 TEST(ClusterScan, ExactAcrossNodeRestart)
 {
     sim::Simulator sim;
-    cluster::Cluster cl(sim, TinyCluster(3, 2));
-    Preload(sim, cl, 30);
+    cluster::Cluster cl(sim, SmallCluster(3, 2));
+    Preload(cl, 30);
     client::KvClient client(sim, cl.router());
 
     // Down a node: every key is still replicated somewhere (R=2), and
@@ -699,8 +774,8 @@ TEST(ClusterScan, YcsbProfileEOverClusterDrainsExactly)
     // path. Every issued op completes (drain), scans return real bytes,
     // and per-phase accounting stays exact on the real stack.
     sim::Simulator sim;
-    cluster::Cluster cl(sim, TinyCluster(3, 2));
-    const auto keys = Preload(sim, cl, 200);
+    cluster::Cluster cl(sim, SmallCluster(3, 2));
+    const auto keys = Preload(cl, 200);
     client::KvClient client(sim, cl.router());
 
     workload::YcsbConfig cfg;

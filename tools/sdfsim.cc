@@ -17,9 +17,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -133,10 +136,11 @@ PrintHelp()
         "  --keys=<n>           keys preloaded per replica (default 300)\n"
         "  --reads=<n>          reads during the fault window (default 1500)\n"
         "\n"
-        "cluster (--workload=cluster):\n"
+        "cluster (--workload=cluster; the node, key and disruption flags\n"
+        "         apply to overload and ycsb too):\n"
         "  --nodes=<n>          storage nodes (default 4)\n"
         "  --replication=<r>    replicas per key, 1..nodes (default 2)\n"
-        "  --read-frac=<f>      mixed-load read fraction (default 0.9)\n"
+        "  --read-frac=<f>      read fraction, the rest inserts (default 0.9)\n"
         "  --kill-node=<id>     kill that node's device mid-run (degraded "
         "mode)\n"
         "  --restart-node=<id>  stop that node's process at T/3 and restart\n"
@@ -187,6 +191,38 @@ ParseSize(const std::string &s)
     return static_cast<uint64_t>(v);
 }
 
+/** Flag values that sdfsim rejects: exit status 2 with one stderr line. */
+struct BadInput : std::runtime_error
+{
+    using std::runtime_error::runtime_error;
+};
+
+/** All of @p val as a number, else BadInput: std::stoul alone accepts
+ *  "3x" and wraps "-1" to a huge value. */
+template <typename T>
+T
+ParseNum(const std::string &key, const std::string &val)
+{
+    size_t used = 0;
+    try {
+        if constexpr (std::is_floating_point_v<T>) {
+            const double v = std::stod(val, &used);
+            if (used == val.size()) return static_cast<T>(v);
+        } else if constexpr (std::is_signed_v<T>) {
+            const long long v = std::stoll(val, &used);
+            if (used == val.size()) return static_cast<T>(v);
+        } else {
+            const unsigned long long v = std::stoull(val, &used);
+            if (used == val.size() && val[0] != '-' &&
+                v <= std::numeric_limits<T>::max()) {
+                return static_cast<T>(v);
+            }
+        }
+    } catch (const std::logic_error &) {
+    }
+    throw BadInput(key + ": bad value '" + val + "'");
+}
+
 bool
 ParseArgs(int argc, char **argv, Options &opt)
 {
@@ -206,95 +242,95 @@ ParseArgs(int argc, char **argv, Options &opt)
         } else if (key == "--request") {
             opt.request = ParseSize(val);
         } else if (key == "--channels") {
-            opt.channels = static_cast<uint32_t>(std::stoul(val));
+            opt.channels = ParseNum<uint32_t>(key, val);
         } else if (key == "--qd") {
-            opt.qd = static_cast<uint32_t>(std::stoul(val));
+            opt.qd = ParseNum<uint32_t>(key, val);
         } else if (key == "--duration") {
-            opt.duration = std::stod(val);
+            opt.duration = ParseNum<double>(key, val);
         } else if (key == "--warmup") {
-            opt.warmup = std::stod(val);
+            opt.warmup = ParseNum<double>(key, val);
         } else if (key == "--scale") {
-            opt.scale = std::stod(val);
+            opt.scale = ParseNum<double>(key, val);
         } else if (key == "--op") {
-            opt.op_ratio = std::stod(val);
+            opt.op_ratio = ParseNum<double>(key, val);
         } else if (key == "--slices") {
-            opt.slices = static_cast<uint32_t>(std::stoul(val));
+            opt.slices = ParseNum<uint32_t>(key, val);
         } else if (key == "--batch") {
-            opt.batch = static_cast<uint32_t>(std::stoul(val));
+            opt.batch = ParseNum<uint32_t>(key, val);
         } else if (key == "--value") {
-            opt.value_kib = static_cast<uint32_t>(std::stoul(val));
+            opt.value_kib = ParseNum<uint32_t>(key, val);
             opt.value_explicit = true;
         } else if (key == "--seed") {
-            opt.seed = std::stoull(val);
+            opt.seed = ParseNum<uint64_t>(key, val);
         } else if (key == "--wear") {
             opt.wear_report = true;
         } else if (key == "--errors") {
             opt.errors = true;
         } else if (key == "--rber") {
-            opt.rber = std::stod(val);
+            opt.rber = ParseNum<double>(key, val);
             opt.errors = true;
         } else if (key == "--wear-factor") {
-            opt.wear_factor = std::stod(val);
+            opt.wear_factor = ParseNum<double>(key, val);
             opt.errors = true;
         } else if (key == "--endurance") {
-            opt.endurance = std::stoll(val);
+            opt.endurance = ParseNum<int64_t>(key, val);
             opt.errors = true;
         } else if (key == "--ecc-bits") {
-            opt.ecc_bits = std::stoll(val);
+            opt.ecc_bits = ParseNum<int64_t>(key, val);
         } else if (key == "--retry-levels") {
-            opt.retry_levels = std::stoll(val);
+            opt.retry_levels = ParseNum<int64_t>(key, val);
         } else if (key == "--fault-plan") {
             opt.fault_plan = val;
         } else if (key == "--faults") {
-            opt.faults = static_cast<uint32_t>(std::stoul(val));
+            opt.faults = ParseNum<uint32_t>(key, val);
         } else if (key == "--replicas") {
-            opt.replicas = static_cast<uint32_t>(std::stoul(val));
+            opt.replicas = ParseNum<uint32_t>(key, val);
         } else if (key == "--keys") {
-            opt.keys = static_cast<uint32_t>(std::stoul(val));
+            opt.keys = ParseNum<uint32_t>(key, val);
         } else if (key == "--reads") {
-            opt.reads = static_cast<uint32_t>(std::stoul(val));
+            opt.reads = ParseNum<uint32_t>(key, val);
         } else if (key == "--nodes") {
-            opt.nodes = static_cast<uint32_t>(std::stoul(val));
+            opt.nodes = ParseNum<uint32_t>(key, val);
         } else if (key == "--replication") {
-            opt.replication = static_cast<uint32_t>(std::stoul(val));
+            opt.replication = ParseNum<uint32_t>(key, val);
         } else if (key == "--read-frac") {
-            opt.read_fraction = std::stod(val);
+            opt.read_fraction = ParseNum<double>(key, val);
         } else if (key == "--kill-node") {
-            opt.kill_node = std::stoll(val);
+            opt.kill_node = ParseNum<int64_t>(key, val);
         } else if (key == "--restart-node") {
-            opt.restart_node = std::stoll(val);
+            opt.restart_node = ParseNum<int64_t>(key, val);
         } else if (key == "--rebalance") {
             opt.rebalance = true;
         } else if (key == "--arrival-rate") {
-            opt.arrival_rate = std::stod(val);
+            opt.arrival_rate = ParseNum<double>(key, val);
         } else if (key == "--storm") {
-            opt.storm = std::stod(val);
+            opt.storm = ParseNum<double>(key, val);
         } else if (key == "--fail-slow-node") {
-            opt.fail_slow_node = std::stoll(val);
+            opt.fail_slow_node = ParseNum<int64_t>(key, val);
         } else if (key == "--fail-slow-factor") {
-            opt.fail_slow_factor = std::stod(val);
+            opt.fail_slow_factor = ParseNum<double>(key, val);
         } else if (key == "--hedge") {
             opt.hedge = true;
         } else if (key == "--no-hedge") {
             opt.hedge = false;
         } else if (key == "--window") {
-            opt.window = static_cast<uint32_t>(std::stoul(val));
+            opt.window = ParseNum<uint32_t>(key, val);
         } else if (key == "--coalesce") {
-            opt.coalesce = static_cast<uint32_t>(std::stoul(val));
+            opt.coalesce = ParseNum<uint32_t>(key, val);
         } else if (key == "--deadline-ms") {
-            opt.deadline_ms = std::stod(val);
+            opt.deadline_ms = ParseNum<double>(key, val);
         } else if (key == "--queue-cap") {
-            opt.queue_cap = static_cast<uint32_t>(std::stoul(val));
+            opt.queue_cap = ParseNum<uint32_t>(key, val);
         } else if (key == "--admission-cap") {
-            opt.admission_cap = static_cast<uint32_t>(std::stoul(val));
+            opt.admission_cap = ParseNum<uint32_t>(key, val);
         } else if (key == "--no-breaker") {
             opt.breaker = false;
         } else if (key == "--profile") {
             opt.profile = val;
         } else if (key == "--theta") {
-            opt.theta = std::stod(val);
+            opt.theta = ParseNum<double>(key, val);
         } else if (key == "--scan-limit") {
-            opt.scan_limit = static_cast<uint32_t>(std::stoul(val));
+            opt.scan_limit = ParseNum<uint32_t>(key, val);
         } else if (!opt.obs.TryFlag(key, val)) {
             std::fprintf(stderr, "unknown flag: %s (try --help)\n",
                          key.c_str());
@@ -302,6 +338,52 @@ ParseArgs(int argc, char **argv, Options &opt)
         }
     }
     return true;
+}
+
+bool
+IsClusterWorkload(const std::string &workload)
+{
+    return workload == "cluster" || workload == "overload" ||
+           workload == "ycsb";
+}
+
+/** Reject flag combinations the runs cannot honour (BadInput). */
+void
+Validate(const Options &opt)
+{
+    const bool cluster = IsClusterWorkload(opt.workload);
+    const bool raw_only = opt.device == "memblaze";
+    if (opt.device != "sdf" && opt.device != "huawei" &&
+        opt.device != "intel" && !raw_only) {
+        throw BadInput("--device: unknown device '" + opt.device + "'");
+    }
+    if (raw_only && (cluster || opt.workload.rfind("kv", 0) == 0 ||
+                     opt.workload == "scan")) {
+        throw BadInput("--device=memblaze runs raw-device workloads only");
+    }
+    if (!cluster) return;
+    if (opt.nodes == 0) throw BadInput("--nodes must be at least 1");
+    if (opt.replication == 0 || opt.replication > opt.nodes) {
+        throw BadInput("--replication must be in 1..--nodes (" +
+                       std::to_string(opt.nodes) + ")");
+    }
+    if (opt.keys == 0) throw BadInput("--keys must be at least 1");
+    if (opt.workload == "ycsb" && !workload::IsYcsbProfile(opt.profile)) {
+        throw BadInput("--profile: unknown ycsb profile '" + opt.profile +
+                       "'");
+    }
+    for (const auto &[flag, node] :
+         {std::pair{"--kill-node", opt.kill_node},
+          std::pair{"--restart-node", opt.restart_node},
+          std::pair{"--fail-slow-node", opt.fail_slow_node}}) {
+        if (node >= static_cast<int64_t>(opt.nodes)) {
+            throw BadInput(std::string(flag) + ": no node " +
+                           std::to_string(node));
+        }
+    }
+    if (opt.kill_node >= 0 && opt.device != "sdf") {
+        throw BadInput("--kill-node needs --device=sdf");
+    }
 }
 
 /** Apply the --errors/--rber/... overrides to an sdf device config. */
@@ -531,19 +613,41 @@ RunRawConventional(Options &opt)
     return opt.obs.Export();
 }
 
-int
-RunCluster(Options &opt)
+testbed::Backend
+BackendOf(const std::string &device)
 {
+    return device == "huawei"  ? testbed::Backend::kHuaweiGen3
+           : device == "intel" ? testbed::Backend::kIntel320
+                               : testbed::Backend::kBaiduSdf;
+}
+
+/**
+ * --workload=cluster|overload|ycsb: preload a cluster, run the load
+ * engine against it, then audit every acked write.
+ *  - cluster: 8 closed-loop clients straight through the router, uniform
+ *    reads plus fresh-key inserts (--read-frac), 64 KiB default values.
+ *  - overload: open-loop Poisson arrivals through the async client front
+ *    door (windows, coalescing, hedged reads, deadlines, admission
+ *    control, fail-slow breaker), with an arrival storm (--storm) in the
+ *    middle third of the run.
+ *  - ycsb: a named YCSB profile (--profile) through the same client.
+ * Optional disruptions in any mode: node death (--kill-node, healed by
+ * --rebalance), a rolling restart (--restart-node), a fail-slow node.
+ * Each schedule phase opens its own labelled series segment and exports
+ * per-phase tails and SLO counters. Exits nonzero if any acked write is
+ * lost or a key is left under-replicated.
+ */
+int
+RunClusterLoad(Options &opt)
+{
+    const bool closed_loop = opt.workload == "cluster";
     sim::Simulator sim;
     InstallHub(opt, sim);
 
     cluster::ClusterConfig cc;
     cc.nodes = opt.nodes;
     cc.replication = opt.replication;
-    cc.node.kv.stack.backend =
-        opt.device == "huawei"  ? testbed::Backend::kHuaweiGen3
-        : opt.device == "intel" ? testbed::Backend::kIntel320
-                                : testbed::Backend::kBaiduSdf;
+    cc.node.kv.stack.backend = BackendOf(opt.device);
     // Conventional backends run through the block-device adapter so every
     // node uses the same unified code path.
     cc.node.kv.stack.ssd_through_block_layer = true;
@@ -552,61 +656,61 @@ RunCluster(Options &opt)
         ApplyErrorOverrides(dc, opt);
     };
     cc.node.kv.store.slice_count = opt.slices;
+    if (!closed_loop) {
+        cc.node.admission_cap = opt.admission_cap;
+        cc.breaker.enabled = opt.breaker;
+    }
     cluster::Cluster cl(sim, cc);
 
-    // Preload through the router so placement matches the read path.
+    // Open-loop runs are request-rate experiments, not bandwidth ones:
+    // small values unless --value says otherwise.
     const uint32_t value_bytes =
-        (opt.value_explicit ? opt.value_kib : 64) * util::kKiB;
-    uint64_t loaded = 0;
-    std::vector<uint64_t> keys;
-    for (uint32_t k = 0; k < opt.keys; ++k) {
-        const uint64_t key = k + 1;
-        keys.push_back(key);
-        cl.router().Put(key, value_bytes,
-                        [&loaded](bool ok) { loaded += ok ? 1 : 0; });
-    }
-    sim.Run();
-    cl.FlushAll();
-    sim.Run();
-    if (loaded != opt.keys) {
-        std::fprintf(stderr, "preload: only %llu/%u keys acked\n",
-                     static_cast<unsigned long long>(loaded), opt.keys);
+        (opt.value_explicit ? opt.value_kib : closed_loop ? 64 : 4) *
+        util::kKiB;
+    const std::vector<uint64_t> keys = cl.Preload(opt.keys, value_bytes);
+    if (keys.size() != opt.keys) {
+        std::fprintf(stderr, "preload: only %zu/%u keys acked\n",
+                     keys.size(), opt.keys);
         return 1;
     }
 
-    // Optional mid-run node death: every channel of one node's device.
-    std::unique_ptr<fault::FaultInjector> injector;
-    auto devices = cl.SdfDevices();
+    // Disruptions go through one replayable fault plan: channel deaths
+    // for --kill-node at T/2, and a fail-slow window over the middle
+    // third whose multiplier the injector's sink delivers to the node.
+    const util::TimeNs load_start = sim.Now();
+    const util::TimeNs dur = util::SecToNs(opt.duration);
+    std::vector<fault::FaultEvent> events;
     if (opt.kill_node >= 0) {
         const auto victim = static_cast<uint32_t>(opt.kill_node);
-        if (victim >= devices.size()) {
-            std::fprintf(stderr, "--kill-node=%u: no such sdf device\n",
-                         victim);
-            return 1;
-        }
-        std::vector<fault::FaultEvent> events;
-        const util::TimeNs when =
-            sim.Now() + util::SecToNs(opt.duration / 2);
-        for (uint32_t ch = 0; ch < devices[victim]->channel_count(); ++ch) {
+        const uint32_t channels = cl.node(victim).sdf_device()->channel_count();
+        for (uint32_t ch = 0; ch < channels; ++ch) {
             fault::FaultEvent e;
-            e.when = when;
+            e.when = load_start + dur / 2;
             e.kind = fault::FaultKind::kChannelDeath;
             e.device = victim;
             e.channel = ch;
             events.push_back(e);
         }
-        injector = std::make_unique<fault::FaultInjector>(
-            sim, devices, fault::FaultPlan(std::move(events)));
     }
-
-    // Optional process lifecycle events during the load window.
-    const util::TimeNs load_start = sim.Now();
+    if (opt.fail_slow_node >= 0) {
+        fault::FaultEvent e;
+        e.when = load_start + dur / 3;
+        e.kind = fault::FaultKind::kFailSlow;
+        e.device = static_cast<uint32_t>(opt.fail_slow_node);
+        e.duration = dur / 3;
+        e.magnitude = opt.fail_slow_factor;
+        events.push_back(e);
+    }
+    std::unique_ptr<fault::FaultInjector> injector;
+    if (!events.empty()) {
+        injector = std::make_unique<fault::FaultInjector>(
+            sim, cl.SdfDevices(), fault::FaultPlan(std::move(events)),
+            [&cl](uint32_t node, double m) {
+                if (node < cl.node_count()) cl.node(node).SetFailSlow(m);
+            });
+    }
     if (opt.restart_node >= 0) {
         const auto victim = static_cast<uint32_t>(opt.restart_node);
-        if (victim >= cl.node_count()) {
-            std::fprintf(stderr, "--restart-node=%u: no such node\n", victim);
-            return 1;
-        }
         sim.ScheduleAt(load_start + util::SecToNs(opt.duration / 3),
                        [&cl, &sim, victim]() {
                            std::printf("t=%.1f ms: stopping node %u\n",
@@ -645,93 +749,214 @@ RunCluster(Options &opt)
                        });
     }
 
-    workload::MixedRunConfig mc;
-    mc.read_fraction = opt.read_fraction;
-    mc.value_bytes = value_bytes;
-    mc.duration = util::SecToNs(opt.duration);
-    mc.seed = opt.seed;
-    const workload::KvService svc = cl.Service();
-    opt.obs.StartSeries(sim, "mixed", mc.duration);
-    const workload::MixedRunResult r =
-        workload::RunMixedLoad(sim, svc, keys, mc);
+    std::unique_ptr<client::KvClient> client;
+    if (!closed_loop) {
+        client::KvClientConfig kc;
+        kc.window_per_node = opt.window;
+        kc.queue_cap = opt.queue_cap;
+        kc.batch_max = opt.coalesce;
+        kc.deadline =
+            opt.deadline_ms > 0 ? util::MsToNs(opt.deadline_ms) : 0;
+        kc.hedge_reads = opt.hedge;
+        client = std::make_unique<client::KvClient>(sim, cl.router(), kc);
+    }
 
+    workload::YcsbConfig cfg;
+    cfg.arrival_rate = opt.arrival_rate;
+    cfg.duration = dur;
+    cfg.seed = opt.seed;
+    cfg.theta = opt.theta;
+    cfg.value_bytes = value_bytes;
+    cfg.scan_limit_max = opt.scan_limit;
+    cfg.slo = util::MsToNs(opt.deadline_ms > 0 ? opt.deadline_ms : 5.0);
+    // One labelled series segment per phase: windowed metrics cut exactly
+    // at the schedule's boundaries (no-op without --stats-series).
+    cfg.on_phase_start = [&opt, &sim](size_t, const workload::YcsbPhase &p,
+                                      util::TimeNs, util::TimeNs d) {
+        opt.obs.StartSeries(sim, opt.workload + "." + p.name, d);
+    };
+    if (opt.workload == "ycsb") {
+        cfg = workload::YcsbProfile(opt.profile, cfg);
+    } else {
+        cfg.phases = workload::StormPhases(opt.read_fraction,
+                                           closed_loop ? 1.0 : opt.storm);
+        if (closed_loop) cfg.actors = 8;
+    }
+    const workload::YcsbResult r = workload::RunYcsb(
+        sim, client ? client->Service() : cl.Service(), keys, cfg);
+    const double read_mbps = util::BandwidthMBps(r.read_bytes, dur);
+    const double write_mbps = util::BandwidthMBps(r.write_bytes, dur);
+    const double ops_per_sec =
+        static_cast<double>(r.completed) / opt.duration;
+
+    const uint32_t value_kib = value_bytes / static_cast<uint32_t>(util::kKiB);
+    if (closed_loop) {
+        std::printf("cluster %u nodes, R=%u, %u slices/node, value %u KiB, "
+                    "8 closed-loop clients (%.0f%% reads): %.0f ops/s\n",
+                    opt.nodes, opt.replication, opt.slices, value_kib,
+                    100 * opt.read_fraction, ops_per_sec);
+    } else if (opt.workload == "ycsb") {
+        std::printf("ycsb-%s: %u nodes, R=%u, %.0f base arrivals/s, "
+                    "theta %.2f, value %u KiB, %zu phases\n",
+                    opt.profile.c_str(), opt.nodes, opt.replication,
+                    opt.arrival_rate, opt.theta, value_kib,
+                    cfg.phases.size());
+    } else {
+        std::printf("overload: %u nodes, R=%u, %.0f arrivals/s "
+                    "(storm x%.1f in the middle third), value %u KiB\n",
+                    opt.nodes, opt.replication, opt.arrival_rate, opt.storm,
+                    value_kib);
+    }
+    std::printf("offered %.0f ops/s, goodput %.0f ops/s "
+                "(%llu issued, %llu completed)\n",
+                r.offered_ops_per_sec, r.goodput_ops_per_sec,
+                static_cast<unsigned long long>(r.issued),
+                static_cast<unsigned long long>(r.completed));
+    std::printf("outcomes: %llu reads, %llu updates, %llu inserts, "
+                "%llu scans (%llu keys, %.1f MiB), %llu misses\n",
+                static_cast<unsigned long long>(r.ok_reads),
+                static_cast<unsigned long long>(r.ok_updates),
+                static_cast<unsigned long long>(r.ok_inserts),
+                static_cast<unsigned long long>(r.ok_scans),
+                static_cast<unsigned long long>(r.scanned_keys),
+                static_cast<double>(r.scanned_bytes) / (1 << 20),
+                static_cast<unsigned long long>(r.misses));
+    std::printf("shed: %llu overloaded, %llu deadline, %llu errors; "
+                "SLO violations %llu; p50 %.3f ms, p99 %.3f ms, "
+                "p99.9 %.3f ms\n",
+                static_cast<unsigned long long>(r.shed_overloaded),
+                static_cast<unsigned long long>(r.shed_deadline),
+                static_cast<unsigned long long>(r.errors),
+                static_cast<unsigned long long>(r.slo_violations),
+                r.p50_ms, r.p99_ms, r.p999_ms);
+    std::printf("reads %.1f MB/s (mean %.2f ms, p99 %.2f ms), writes "
+                "%.1f MB/s (mean %.2f ms, p99 %.2f ms)\n",
+                read_mbps, r.read_mean_ms, r.read_p99_ms, write_mbps,
+                r.write_mean_ms, r.write_p99_ms);
     const kv::ReplicatedKvStats &rs = cl.router().stats();
-    std::printf("cluster %u nodes, R=%u, %u slices/node, value %u KiB\n",
-                opt.nodes, opt.replication, opt.slices,
-                value_bytes / static_cast<uint32_t>(util::kKiB));
-    std::printf("mixed load (%.0f%% reads): %.0f ops/s, read %.1f MB/s, "
-                "write %.1f MB/s\n",
-                100 * opt.read_fraction, r.ops_per_sec, r.read_mbps,
-                r.write_mbps);
-    std::printf("latency: read mean %.2f ms p99 %.2f ms, write mean %.2f ms "
-                "p99 %.2f ms\n",
-                r.read_mean_ms, r.read_p99_ms, r.write_mean_ms,
-                r.write_p99_ms);
     std::printf("replication: %llu degraded reads, %llu failed reads, "
                 "%llu re-replications, %llu put failures\n",
                 static_cast<unsigned long long>(rs.degraded_reads),
                 static_cast<unsigned long long>(rs.failed_reads),
                 static_cast<unsigned long long>(rs.re_replications),
                 static_cast<unsigned long long>(rs.put_failures));
-    util::TablePrinter table("requests routed per node");
-    table.SetHeader({"node", "puts routed", "gets routed"});
-    for (uint32_t n = 0; n < opt.nodes; ++n) {
-        table.AddRow({std::to_string(n),
+
+    uint64_t admission_shed = 0;
+    util::TablePrinter nodes("per node");
+    nodes.SetHeader({"node", "puts routed", "gets routed", "admitted",
+                     "shed", "peak inflight"});
+    for (uint32_t n = 0; n < cl.node_count(); ++n) {
+        const cluster::StorageNode::AdmissionStats &as =
+            cl.node(n).admission();
+        admission_shed += as.shed_overload;
+        nodes.AddRow({std::to_string(n),
                       std::to_string(cl.router().node_puts(n)),
-                      std::to_string(cl.router().node_gets(n))});
+                      std::to_string(cl.router().node_gets(n)),
+                      std::to_string(as.admitted),
+                      std::to_string(as.shed_overload),
+                      std::to_string(as.peak_inflight)});
+    }
+    nodes.Print();
+    const cluster::FailSlowBreaker::Stats &bs = cl.router().breaker().stats();
+    if (client) {
+        const client::ClientStats &cs = client->stats();
+        const client::HedgeStats &hs = client->hedge_stats();
+        std::printf("client: %llu queued, %llu shed at the front door, "
+                    "%llu batches carrying %llu reads, %llu fallback "
+                    "walks\n",
+                    static_cast<unsigned long long>(cs.queued),
+                    static_cast<unsigned long long>(cs.shed_queue_full),
+                    static_cast<unsigned long long>(cs.batches),
+                    static_cast<unsigned long long>(cs.batched_gets),
+                    static_cast<unsigned long long>(cs.fallback_walks));
+        std::printf("hedge: %llu launched, %llu wins, %llu losses, "
+                    "%llu cancelled (threshold now %.3f ms)\n",
+                    static_cast<unsigned long long>(hs.launched),
+                    static_cast<unsigned long long>(hs.wins),
+                    static_cast<unsigned long long>(hs.losses),
+                    static_cast<unsigned long long>(hs.cancelled),
+                    static_cast<double>(client->HedgeThreshold()) / 1e6);
+        std::printf("breaker: %llu trips, %llu resets, %llu reroutes, "
+                    "%u open now\n",
+                    static_cast<unsigned long long>(bs.trips),
+                    static_cast<unsigned long long>(bs.resets),
+                    static_cast<unsigned long long>(bs.reroutes),
+                    cl.router().breaker().open_count());
+    }
+
+    // Mode-specific exports; the engine's run summary below is shared.
+    if (closed_loop) {
+        opt.obs.AddMeta("slices", std::to_string(opt.slices));
+        opt.obs.AddDerived("result.ops_per_sec", ops_per_sec);
+        opt.obs.AddDerived("result.read_mbps", read_mbps);
+        opt.obs.AddDerived("result.write_mbps", write_mbps);
+        opt.obs.AddDerived("result.degraded_reads",
+                           static_cast<double>(rs.degraded_reads));
+        opt.obs.AddDerived("result.failed_reads",
+                           static_cast<double>(rs.failed_reads));
+    } else {
+        opt.obs.AddMeta("arrival_rate", std::to_string(opt.arrival_rate));
+    }
+    if (opt.workload == "ycsb") {
+        opt.obs.AddMeta("profile", opt.profile);
+        opt.obs.AddMeta("theta", std::to_string(opt.theta));
+    } else if (opt.workload == "overload") {
+        opt.obs.AddMeta("storm", std::to_string(opt.storm));
+        opt.obs.AddMeta("hedge", opt.hedge ? "1" : "0");
+        opt.obs.AddDerived("result.read_p99_ms", r.read_p99_ms);
+        opt.obs.AddDerived("result.hedge_launched",
+                           static_cast<double>(client->hedge_stats().launched));
+        opt.obs.AddDerived("result.hedge_wins",
+                           static_cast<double>(client->hedge_stats().wins));
+        opt.obs.AddDerived("result.admission_shed",
+                           static_cast<double>(admission_shed));
+        opt.obs.AddDerived("result.breaker_trips",
+                           static_cast<double>(bs.trips));
+    }
+
+    util::TablePrinter table("per-phase breakdown");
+    table.SetHeader({"phase", "issued", "completed", "shed", "slo viol",
+                     "p50 ms", "p99 ms", "p99.9 ms"});
+    char buf[32];
+    auto fmt = [&buf](double v) {
+        std::snprintf(buf, sizeof buf, "%.3f", v);
+        return std::string(buf);
+    };
+    for (const workload::YcsbPhaseResult &p : r.phases) {
+        table.AddRow({p.name, std::to_string(p.issued),
+                      std::to_string(p.completed),
+                      std::to_string(p.shed_overloaded + p.shed_deadline),
+                      std::to_string(p.slo_violations), fmt(p.p50_ms),
+                      fmt(p.p99_ms), fmt(p.p999_ms)});
     }
     table.Print();
 
-    // After any disruption, audit every key the cluster acknowledged —
-    // the preload plus every acked mixed-load write — back through the
-    // router: replication/recovery must have preserved all of them.
-    uint64_t lost = 0;
+    // Every write the cluster acked must still be readable: overload and
+    // skew may shed, but never lose. After a disruption the preload is
+    // audited too — replication and recovery must have preserved it.
+    std::vector<uint64_t> audit_keys = r.acked_writes;
     if (opt.kill_node >= 0 || opt.restart_node >= 0) {
-        std::vector<uint64_t> audit_keys = keys;
-        audit_keys.insert(audit_keys.end(), r.acked_writes.begin(),
-                          r.acked_writes.end());
-        std::sort(audit_keys.begin(), audit_keys.end());
-        audit_keys.erase(
-            std::unique(audit_keys.begin(), audit_keys.end()),
-            audit_keys.end());
-        // Closed-loop audit: flooding every key at once would overflow
-        // the RPC timeout and report congestion as data loss.
-        uint64_t audited = 0;
-        size_t next = 0;
-        std::vector<uint64_t> lost_keys;
-        std::function<void()> audit_step = [&]() {
-            if (next >= audit_keys.size()) return;
-            const uint64_t key = audit_keys[next++];
-            cl.router().Get(key, [&, key](const kv::GetResult &res) {
-                ++audited;
-                if (!res.ok || !res.found) {
-                    ++lost;
-                    if (lost_keys.size() < 10) lost_keys.push_back(key);
-                }
-                audit_step();
-            });
-        };
-        for (uint32_t s = 0; s < 8; ++s) audit_step();
-        sim.Run();
-        std::printf("consistency audit: %llu acked keys, %llu lost\n",
-                    static_cast<unsigned long long>(audited),
-                    static_cast<unsigned long long>(lost));
-        // The first few losses with their placement: which vnode owns the
-        // key and which nodes the ring currently maps it to.
-        for (uint64_t key : lost_keys) {
-            const auto [point, owner] = cl.router().ring().OwnerVnode(key);
-            std::string replicas;
-            for (uint32_t n : cl.router().ReplicaNodes(key)) {
-                if (!replicas.empty()) replicas += ",";
-                replicas += std::to_string(n);
-            }
-            std::fprintf(stderr,
-                         "lost key %llu: vnode 0x%016llx on node %u, "
-                         "replica set [%s]\n",
-                         static_cast<unsigned long long>(key),
-                         static_cast<unsigned long long>(point), owner,
-                         replicas.c_str());
+        audit_keys.insert(audit_keys.end(), keys.begin(), keys.end());
+    }
+    const cluster::AuditResult audit = cl.AuditAcked(audit_keys);
+    std::printf("consistency audit: %llu acked keys, %llu lost\n",
+                static_cast<unsigned long long>(audit.audited),
+                static_cast<unsigned long long>(audit.lost));
+    // The first few losses with their placement: which vnode owns the
+    // key and which nodes the ring currently maps it to.
+    for (uint64_t key : audit.first_lost) {
+        const auto [point, owner] = cl.router().ring().OwnerVnode(key);
+        std::string replicas;
+        for (uint32_t n : cl.router().ReplicaNodes(key)) {
+            if (!replicas.empty()) replicas += ",";
+            replicas += std::to_string(n);
         }
+        std::fprintf(stderr,
+                     "lost key %llu: vnode 0x%016llx on node %u, "
+                     "replica set [%s]\n",
+                     static_cast<unsigned long long>(key),
+                     static_cast<unsigned long long>(point), owner,
+                     replicas.c_str());
     }
 
     uint64_t under_replicated = 0;
@@ -773,385 +998,6 @@ RunCluster(Options &opt)
     AddCommonMeta(opt);
     opt.obs.AddMeta("nodes", std::to_string(opt.nodes));
     opt.obs.AddMeta("replication", std::to_string(opt.replication));
-    opt.obs.AddMeta("slices", std::to_string(opt.slices));
-    opt.obs.AddDerived("result.ops_per_sec", r.ops_per_sec);
-    opt.obs.AddDerived("result.read_mbps", r.read_mbps);
-    opt.obs.AddDerived("result.write_mbps", r.write_mbps);
-    opt.obs.AddDerived("result.degraded_reads",
-                       static_cast<double>(rs.degraded_reads));
-    opt.obs.AddDerived("result.failed_reads",
-                       static_cast<double>(rs.failed_reads));
-    if (const int rc = opt.obs.Export(); rc != 0) return rc;
-    return lost == 0 && under_replicated == 0 ? 0 : 1;
-}
-
-/**
- * --workload=overload: open-loop Poisson traffic through the async client
- * front door, with an optional mid-run arrival storm and one fail-slow
- * node. Exercises the whole defense stack: client windows + coalescing +
- * hedged reads, server admission control, deadline propagation, and the
- * fail-slow circuit breaker. Exits nonzero if any acked write is lost.
- */
-int
-RunOverload(Options &opt)
-{
-    sim::Simulator sim;
-    InstallHub(opt, sim);
-
-    cluster::ClusterConfig cc;
-    cc.nodes = opt.nodes;
-    cc.replication = opt.replication;
-    cc.node.kv.stack.backend =
-        opt.device == "huawei"  ? testbed::Backend::kHuaweiGen3
-        : opt.device == "intel" ? testbed::Backend::kIntel320
-                                : testbed::Backend::kBaiduSdf;
-    cc.node.kv.stack.ssd_through_block_layer = true;
-    cc.node.kv.stack.capacity_scale = opt.scale;
-    cc.node.kv.stack.tune_sdf = [&opt](core::SdfConfig &dc) {
-        ApplyErrorOverrides(dc, opt);
-    };
-    cc.node.kv.store.slice_count = opt.slices;
-    cc.node.admission_cap = opt.admission_cap;
-    cc.breaker.enabled = opt.breaker;
-    cluster::Cluster cl(sim, cc);
-
-    // Small values: open-loop overload is a request-rate experiment, not a
-    // bandwidth one.
-    const uint32_t value_bytes =
-        (opt.value_explicit ? opt.value_kib : 4) * util::kKiB;
-    uint64_t loaded = 0;
-    std::vector<uint64_t> keys;
-    for (uint32_t k = 0; k < opt.keys; ++k) {
-        const uint64_t key = k + 1;
-        keys.push_back(key);
-        cl.router().Put(key, value_bytes,
-                        [&loaded](bool ok) { loaded += ok ? 1 : 0; });
-    }
-    sim.Run();
-    cl.FlushAll();
-    sim.Run();
-    if (loaded != opt.keys) {
-        std::fprintf(stderr, "preload: only %llu/%u keys acked\n",
-                     static_cast<unsigned long long>(loaded), opt.keys);
-        return 1;
-    }
-
-    const util::TimeNs load_start = sim.Now();
-    const util::TimeNs dur = util::SecToNs(opt.duration);
-
-    // Fail-slow through the fault plan so the scenario is replayable: the
-    // injector's sink delivers the multiplier to the node and restores it
-    // when the window (the middle third of the run) ends.
-    std::unique_ptr<fault::FaultInjector> injector;
-    if (opt.fail_slow_node >= 0) {
-        const auto victim = static_cast<uint32_t>(opt.fail_slow_node);
-        if (victim >= cl.node_count()) {
-            std::fprintf(stderr, "--fail-slow-node=%u: no such node\n",
-                         victim);
-            return 1;
-        }
-        fault::FaultEvent e;
-        e.when = load_start + dur / 3;
-        e.kind = fault::FaultKind::kFailSlow;
-        e.device = victim;
-        e.duration = dur / 3;
-        e.magnitude = opt.fail_slow_factor;
-        injector = std::make_unique<fault::FaultInjector>(
-            sim, cl.SdfDevices(), fault::FaultPlan({e}),
-            [&cl](uint32_t node, double m) {
-                if (node < cl.node_count()) cl.node(node).SetFailSlow(m);
-            });
-    }
-
-    client::KvClientConfig kc;
-    kc.window_per_node = opt.window;
-    kc.queue_cap = opt.queue_cap;
-    kc.batch_max = opt.coalesce;
-    kc.deadline = opt.deadline_ms > 0 ? util::MsToNs(opt.deadline_ms) : 0;
-    kc.hedge_reads = opt.hedge;
-    client::KvClient client(sim, cl.router(), kc);
-
-    workload::OpenRunConfig oc;
-    oc.arrival_rate = opt.arrival_rate;
-    oc.read_fraction = opt.read_fraction;
-    oc.value_bytes = value_bytes;
-    oc.duration = dur;
-    oc.seed = opt.seed;
-    oc.storm_factor = opt.storm;
-    oc.storm_start = dur / 3;
-    oc.storm_end = 2 * dur / 3;
-    // Windowed metrics over the load phase (no-op without --stats-series):
-    // the storm and the breaker trip land in their own windows instead of
-    // being smeared into the end-of-run aggregate.
-    opt.obs.StartSeries(sim, "overload", dur);
-    const workload::OpenRunResult r =
-        workload::RunOpenLoad(sim, client.Service(), keys, oc);
-
-    std::printf("overload: %u nodes, R=%u, %.0f arrivals/s "
-                "(storm x%.1f in the middle third), value %u KiB\n",
-                opt.nodes, opt.replication, opt.arrival_rate, opt.storm,
-                value_bytes / static_cast<uint32_t>(util::kKiB));
-    std::printf("offered %.0f ops/s, goodput %.0f ops/s "
-                "(%llu issued, %llu completed)\n",
-                r.offered_ops_per_sec, r.goodput_ops_per_sec,
-                static_cast<unsigned long long>(r.issued),
-                static_cast<unsigned long long>(r.completed));
-    std::printf("outcomes: %llu reads ok, %llu writes acked, %llu misses, "
-                "%llu shed overloaded, %llu shed deadline, %llu errors\n",
-                static_cast<unsigned long long>(r.ok_reads),
-                static_cast<unsigned long long>(r.ok_writes),
-                static_cast<unsigned long long>(r.misses),
-                static_cast<unsigned long long>(r.shed_overloaded),
-                static_cast<unsigned long long>(r.shed_deadline),
-                static_cast<unsigned long long>(r.errors));
-    std::printf("latency: p50 %.3f ms, p99 %.3f ms, p99.9 %.3f ms "
-                "(read p99 %.3f ms)\n",
-                r.p50_ms, r.p99_ms, r.p999_ms, r.read_p99_ms);
-
-    const client::ClientStats &cs = client.stats();
-    const client::HedgeStats &hs = client.hedge_stats();
-    std::printf("client: %llu queued, %llu shed at the front door, "
-                "%llu batches carrying %llu reads, %llu fallback walks\n",
-                static_cast<unsigned long long>(cs.queued),
-                static_cast<unsigned long long>(cs.shed_queue_full),
-                static_cast<unsigned long long>(cs.batches),
-                static_cast<unsigned long long>(cs.batched_gets),
-                static_cast<unsigned long long>(cs.fallback_walks));
-    std::printf("hedge: %llu launched, %llu wins, %llu losses, "
-                "%llu cancelled (threshold now %.3f ms)\n",
-                static_cast<unsigned long long>(hs.launched),
-                static_cast<unsigned long long>(hs.wins),
-                static_cast<unsigned long long>(hs.losses),
-                static_cast<unsigned long long>(hs.cancelled),
-                static_cast<double>(client.HedgeThreshold()) / 1e6);
-
-    uint64_t admitted = 0, shed = 0;
-    util::TablePrinter table("admission per node");
-    table.SetHeader({"node", "admitted", "shed", "peak inflight"});
-    for (uint32_t n = 0; n < cl.node_count(); ++n) {
-        const cluster::StorageNode::AdmissionStats &as =
-            cl.node(n).admission();
-        admitted += as.admitted;
-        shed += as.shed_overload;
-        table.AddRow({std::to_string(n), std::to_string(as.admitted),
-                      std::to_string(as.shed_overload),
-                      std::to_string(as.peak_inflight)});
-    }
-    table.Print();
-    const cluster::FailSlowBreaker::Stats &bs = cl.router().breaker().stats();
-    std::printf("breaker: %llu trips, %llu resets, %llu reroutes, "
-                "%u open now\n",
-                static_cast<unsigned long long>(bs.trips),
-                static_cast<unsigned long long>(bs.resets),
-                static_cast<unsigned long long>(bs.reroutes),
-                cl.router().breaker().open_count());
-
-    // Every write the client acked must still be readable: overload may
-    // shed, but it must never lose. Closed-loop so the audit itself cannot
-    // congest the cluster.
-    uint64_t lost = 0, audited = 0;
-    size_t next = 0;
-    std::function<void()> audit_step = [&]() {
-        if (next >= r.acked_writes.size()) return;
-        const uint64_t key = r.acked_writes[next++];
-        cl.router().Get(key, [&, key](const kv::GetResult &res) {
-            ++audited;
-            if (!res.ok || !res.found) {
-                ++lost;
-                if (lost <= 10) {
-                    std::fprintf(stderr, "lost acked key %llu\n",
-                                 static_cast<unsigned long long>(key));
-                }
-            }
-            audit_step();
-        });
-    };
-    for (uint32_t s = 0; s < 8; ++s) audit_step();
-    sim.Run();
-    std::printf("consistency audit: %llu acked writes, %llu lost\n",
-                static_cast<unsigned long long>(audited),
-                static_cast<unsigned long long>(lost));
-
-    AddCommonMeta(opt);
-    opt.obs.AddMeta("nodes", std::to_string(opt.nodes));
-    opt.obs.AddMeta("replication", std::to_string(opt.replication));
-    opt.obs.AddMeta("arrival_rate", std::to_string(opt.arrival_rate));
-    opt.obs.AddMeta("storm", std::to_string(opt.storm));
-    opt.obs.AddMeta("hedge", opt.hedge ? "1" : "0");
-    opt.obs.AddDerived("result.offered_ops_per_sec", r.offered_ops_per_sec);
-    opt.obs.AddDerived("result.goodput_ops_per_sec", r.goodput_ops_per_sec);
-    opt.obs.AddDerived("result.p99_ms", r.p99_ms);
-    opt.obs.AddDerived("result.read_p99_ms", r.read_p99_ms);
-    opt.obs.AddDerived("result.shed_overloaded",
-                       static_cast<double>(r.shed_overloaded));
-    opt.obs.AddDerived("result.shed_deadline",
-                       static_cast<double>(r.shed_deadline));
-    opt.obs.AddDerived("result.hedge_launched",
-                       static_cast<double>(hs.launched));
-    opt.obs.AddDerived("result.hedge_wins", static_cast<double>(hs.wins));
-    opt.obs.AddDerived("result.admission_shed", static_cast<double>(shed));
-    opt.obs.AddDerived("result.breaker_trips", static_cast<double>(bs.trips));
-    opt.obs.AddDerived("result.lost_acked_writes",
-                       static_cast<double>(lost));
-    if (const int rc = opt.obs.Export(); rc != 0) return rc;
-    return lost == 0 ? 0 : 1;
-}
-
-/**
- * --workload=ycsb: a named YCSB profile through the async client front
- * door — Zipfian/latest/hot-range key skew, mixed ops including cluster
- * range scans, and a dynamic phase schedule (flash crowd, diurnal ramp)
- * over open-loop Poisson arrivals. Each phase opens its own labelled
- * series segment and exports per-phase tails + SLO counters, so a storm's
- * violations land in the storm's numbers, not the run average. Exits
- * nonzero if any acked write is lost.
- */
-int
-RunYcsb(Options &opt)
-{
-    sim::Simulator sim;
-    InstallHub(opt, sim);
-
-    cluster::ClusterConfig cc;
-    cc.nodes = opt.nodes;
-    cc.replication = opt.replication;
-    cc.node.kv.stack.backend =
-        opt.device == "huawei"  ? testbed::Backend::kHuaweiGen3
-        : opt.device == "intel" ? testbed::Backend::kIntel320
-                                : testbed::Backend::kBaiduSdf;
-    cc.node.kv.stack.ssd_through_block_layer = true;
-    cc.node.kv.stack.capacity_scale = opt.scale;
-    cc.node.kv.stack.tune_sdf = [&opt](core::SdfConfig &dc) {
-        ApplyErrorOverrides(dc, opt);
-    };
-    cc.node.kv.store.slice_count = opt.slices;
-    cc.node.admission_cap = opt.admission_cap;
-    cc.breaker.enabled = opt.breaker;
-    cluster::Cluster cl(sim, cc);
-
-    const uint32_t value_bytes =
-        (opt.value_explicit ? opt.value_kib : 4) * util::kKiB;
-    uint64_t loaded = 0;
-    std::vector<uint64_t> keys;
-    for (uint32_t k = 0; k < opt.keys; ++k) {
-        const uint64_t key = k + 1;
-        keys.push_back(key);
-        cl.router().Put(key, value_bytes,
-                        [&loaded](bool ok) { loaded += ok ? 1 : 0; });
-    }
-    sim.Run();
-    cl.FlushAll();
-    sim.Run();
-    if (loaded != opt.keys) {
-        std::fprintf(stderr, "preload: only %llu/%u keys acked\n",
-                     static_cast<unsigned long long>(loaded), opt.keys);
-        return 1;
-    }
-
-    client::KvClientConfig kc;
-    kc.window_per_node = opt.window;
-    kc.queue_cap = opt.queue_cap;
-    kc.batch_max = opt.coalesce;
-    kc.deadline = opt.deadline_ms > 0 ? util::MsToNs(opt.deadline_ms) : 0;
-    kc.hedge_reads = opt.hedge;
-    client::KvClient client(sim, cl.router(), kc);
-
-    workload::YcsbConfig base;
-    base.arrival_rate = opt.arrival_rate;
-    base.duration = util::SecToNs(opt.duration);
-    base.seed = opt.seed;
-    base.theta = opt.theta;
-    base.value_bytes = value_bytes;
-    base.scan_limit_max = opt.scan_limit;
-    base.slo = util::MsToNs(opt.deadline_ms > 0 ? opt.deadline_ms : 5.0);
-    // One labelled series segment per phase: windowed metrics cut exactly
-    // at the schedule's boundaries (no-op without --stats-series).
-    base.on_phase_start = [&opt, &sim](size_t, const workload::YcsbPhase &p,
-                                       util::TimeNs, util::TimeNs dur) {
-        opt.obs.StartSeries(sim, "ycsb." + p.name, dur);
-    };
-    const workload::YcsbConfig cfg = workload::YcsbProfile(opt.profile, base);
-
-    const workload::YcsbResult r =
-        workload::RunYcsb(sim, client.Service(), keys, cfg);
-
-    std::printf("ycsb-%s: %u nodes, R=%u, %.0f base arrivals/s, "
-                "theta %.2f, value %u KiB, %zu phases\n",
-                opt.profile.c_str(), opt.nodes, opt.replication,
-                opt.arrival_rate, opt.theta,
-                value_bytes / static_cast<uint32_t>(util::kKiB),
-                cfg.phases.size());
-    std::printf("offered %.0f ops/s, goodput %.0f ops/s "
-                "(%llu issued, %llu completed)\n",
-                r.offered_ops_per_sec, r.goodput_ops_per_sec,
-                static_cast<unsigned long long>(r.issued),
-                static_cast<unsigned long long>(r.completed));
-    std::printf("outcomes: %llu reads, %llu updates, %llu inserts, "
-                "%llu scans (%llu keys, %.1f MiB), %llu misses\n",
-                static_cast<unsigned long long>(r.ok_reads),
-                static_cast<unsigned long long>(r.ok_updates),
-                static_cast<unsigned long long>(r.ok_inserts),
-                static_cast<unsigned long long>(r.ok_scans),
-                static_cast<unsigned long long>(r.scanned_keys),
-                static_cast<double>(r.scanned_bytes) / (1 << 20),
-                static_cast<unsigned long long>(r.misses));
-    std::printf("shed: %llu overloaded, %llu deadline, %llu errors; "
-                "SLO violations %llu; p50 %.3f ms, p99 %.3f ms, "
-                "p99.9 %.3f ms\n",
-                static_cast<unsigned long long>(r.shed_overloaded),
-                static_cast<unsigned long long>(r.shed_deadline),
-                static_cast<unsigned long long>(r.errors),
-                static_cast<unsigned long long>(r.slo_violations),
-                r.p50_ms, r.p99_ms, r.p999_ms);
-
-    util::TablePrinter table("per-phase breakdown");
-    table.SetHeader({"phase", "issued", "completed", "shed", "slo viol",
-                     "p50 ms", "p99 ms", "p99.9 ms"});
-    char buf[32];
-    auto fmt = [&buf](double v) {
-        std::snprintf(buf, sizeof buf, "%.3f", v);
-        return std::string(buf);
-    };
-    for (const workload::YcsbPhaseResult &p : r.phases) {
-        table.AddRow({p.name, std::to_string(p.issued),
-                      std::to_string(p.completed),
-                      std::to_string(p.shed_overloaded + p.shed_deadline),
-                      std::to_string(p.slo_violations), fmt(p.p50_ms),
-                      fmt(p.p99_ms), fmt(p.p999_ms)});
-    }
-    table.Print();
-
-    // Same audit as overload: skew and storms may shed ops, but every
-    // acked write must stay readable.
-    uint64_t lost = 0, audited = 0;
-    size_t next = 0;
-    std::function<void()> audit_step = [&]() {
-        if (next >= r.acked_writes.size()) return;
-        const uint64_t key = r.acked_writes[next++];
-        cl.router().Get(key, [&, key](const kv::GetResult &res) {
-            ++audited;
-            if (!res.ok || !res.found) {
-                ++lost;
-                if (lost <= 10) {
-                    std::fprintf(stderr, "lost acked key %llu\n",
-                                 static_cast<unsigned long long>(key));
-                }
-            }
-            audit_step();
-        });
-    };
-    for (uint32_t s = 0; s < 8; ++s) audit_step();
-    sim.Run();
-    std::printf("consistency audit: %llu acked writes, %llu lost\n",
-                static_cast<unsigned long long>(audited),
-                static_cast<unsigned long long>(lost));
-
-    AddCommonMeta(opt);
-    opt.obs.AddMeta("profile", opt.profile);
-    opt.obs.AddMeta("theta", std::to_string(opt.theta));
-    opt.obs.AddMeta("nodes", std::to_string(opt.nodes));
-    opt.obs.AddMeta("replication", std::to_string(opt.replication));
-    opt.obs.AddMeta("arrival_rate", std::to_string(opt.arrival_rate));
     opt.obs.AddDerived("result.issued", static_cast<double>(r.issued));
     opt.obs.AddDerived("result.completed",
                        static_cast<double>(r.completed));
@@ -1174,7 +1020,7 @@ RunYcsb(Options &opt)
     opt.obs.AddDerived("result.slo_violations",
                        static_cast<double>(r.slo_violations));
     opt.obs.AddDerived("result.lost_acked_writes",
-                       static_cast<double>(lost));
+                       static_cast<double>(audit.lost));
     for (const workload::YcsbPhaseResult &p : r.phases) {
         const std::string pre = "result.phase." + p.name + ".";
         opt.obs.AddDerived(pre + "issued", static_cast<double>(p.issued));
@@ -1185,16 +1031,13 @@ RunYcsb(Options &opt)
                            static_cast<double>(p.slo_violations));
     }
     if (const int rc = opt.obs.Export(); rc != 0) return rc;
-    return lost == 0 ? 0 : 1;
+    return audit.lost == 0 && under_replicated == 0 ? 0 : 1;
 }
 
 int
 RunKv(Options &opt)
 {
-    using bench::DeviceKind;
-    const DeviceKind kind = opt.device == "huawei" ? DeviceKind::kHuaweiGen3
-                            : opt.device == "intel" ? DeviceKind::kIntel320
-                                                    : DeviceKind::kBaiduSdf;
+    const bench::DeviceKind kind = BackendOf(opt.device);
     bench::KvTestbed bed(kind, opt.slices, opt.slices, opt.scale, {},
                          opt.obs.hub());
     workload::KvRunConfig run;
@@ -1245,12 +1088,16 @@ int
 main(int argc, char **argv)
 {
     sdf::Options opt;
-    if (!sdf::ParseArgs(argc, argv, opt)) return argc > 1 ? 1 : 0;
+    try {
+        if (!sdf::ParseArgs(argc, argv, opt)) return argc > 1 ? 1 : 0;
+        sdf::Validate(opt);
+    } catch (const sdf::BadInput &e) {
+        std::fprintf(stderr, "sdfsim: %s (try --help)\n", e.what());
+        return 2;
+    }
 
     if (opt.workload == "faults") return sdf::RunFaults(opt);
-    if (opt.workload == "cluster") return sdf::RunCluster(opt);
-    if (opt.workload == "overload") return sdf::RunOverload(opt);
-    if (opt.workload == "ycsb") return sdf::RunYcsb(opt);
+    if (sdf::IsClusterWorkload(opt.workload)) return sdf::RunClusterLoad(opt);
     if (opt.workload.rfind("kv", 0) == 0 || opt.workload == "scan") {
         return sdf::RunKv(opt);
     }
