@@ -15,6 +15,8 @@
  *   fault_campaign [--replicas=3] [--faults=120] [--keys=300] [--reads=1500]
  *                  [--seed=42] [--horizon-ms=400] [--plan=<file>]
  *                  [--retry-levels=4] [--print-plan]
+ *
+ * --replicas takes 1..8 (kv::ReplicaOrder's inline capacity).
  */
 #include <cstdio>
 #include <cstdlib>
@@ -71,8 +73,10 @@ main(int argc, char **argv)
             return 2;
         }
     }
-    if (cfg.replicas == 0) {
-        std::fprintf(stderr, "--replicas must be >= 1\n");
+    if (cfg.replicas == 0 ||
+        cfg.replicas > sdf::kv::ReplicaOrder::kMaxReplicas) {
+        std::fprintf(stderr, "--replicas must be in 1..%u\n",
+                     sdf::kv::ReplicaOrder::kMaxReplicas);
         return 2;
     }
     if (!plan_path.empty()) {

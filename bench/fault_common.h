@@ -234,7 +234,7 @@ RunFaultCampaign(const FaultCampaignConfig &cfg)
             ++result.requests_issued;
             net.RpcWithRetry(
                 0, 256,
-                [&, key](std::function<void(uint64_t)> reply) {
+                [&, key](net::Network::TypedReply reply) {
                     replicated.Get(key,
                                    [reply = std::move(reply)](
                                        const kv::GetResult &res) {
@@ -262,7 +262,7 @@ RunFaultCampaign(const FaultCampaignConfig &cfg)
             ++result.requests_issued;
             net.RpcWithRetry(
                 0, cfg.value_bytes,
-                [&, key](std::function<void(uint64_t)> reply) {
+                [&, key](net::Network::TypedReply reply) {
                     replicated.Put(key, cfg.value_bytes,
                                    [&acked, key, reply = std::move(reply)](
                                        bool ok) {

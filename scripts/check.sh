@@ -7,6 +7,8 @@
 # workload (same-seed determinism + degraded-mode zero-loss), the
 # open-loop overload workload (typed sheds, fail-slow hedging/breaker),
 # the production_day example and sdfsim's rejection of bad input.
+# The RPC retry ladder (timeouts, retries, late responses) has its own
+# smoke: same-seed, heap-vs-calendar and under the sanitizers.
 # Usage: scripts/check.sh [extra ctest args...]
 set -euo pipefail
 
@@ -83,6 +85,36 @@ python3 tools/validate_stats.py "$obs_tmp/o1.json" \
 # One fail-slow node mid-run; hedged reads + breaker route around it.
 ./build/tools/sdfsim --workload=overload --nodes=3 --replication=2 \
     --duration=0.2 --fail-slow-node=1 --fail-slow-factor=4 > /dev/null
+
+echo "== retry-ladder smoke =="
+# A 20x fail-slow node with no client deadline: its RPCs outlive the
+# transport timeout, so attempts time out, retry with backoff and answer
+# late. Same seed => byte-identical stats and series; the ladder must
+# really run (summed node*.net.rpc_retries and rpc_late_responses > 0).
+for run in 1 2; do
+    ./build/tools/sdfsim --workload=overload --nodes=3 --replication=2 \
+        --duration=0.2 --deadline-ms=0 --fail-slow-node=1 \
+        --fail-slow-factor=20 --stats-json="$obs_tmp/rl$run.json" \
+        --stats-series="$obs_tmp/rl$run.series.json" > /dev/null
+done
+cmp "$obs_tmp/rl1.json" "$obs_tmp/rl2.json"
+cmp "$obs_tmp/rl1.series.json" "$obs_tmp/rl2.series.json"
+python3 - "$obs_tmp/rl1.json" <<'PY'
+import json, sys
+counters = json.load(open(sys.argv[1]))["counters"]
+def total(name):
+    return sum(v for k, v in counters.items()
+               if k.startswith("node") and k.endswith(".net." + name))
+for name in ("rpc_retries", "rpc_late_responses"):
+    if total(name) <= 0:
+        sys.exit("retry-ladder smoke: no %s" % name)
+PY
+./build/tools/sdfsim --workload=overload --nodes=3 --replication=2 \
+    --duration=0.2 --deadline-ms=0 --fail-slow-node=1 \
+    --fail-slow-factor=20 --engine=heap --stats-json="$obs_tmp/rlh.json" \
+    --stats-series="$obs_tmp/rlh.series.json" > /dev/null
+cmp "$obs_tmp/rl1.json" "$obs_tmp/rlh.json"  # Heap engine == calendar.
+cmp "$obs_tmp/rl1.series.json" "$obs_tmp/rlh.series.json"
 
 echo "== ycsb smoke =="
 # Skewed phased traffic with range scans through the client front door:
@@ -192,6 +224,11 @@ cmake --build build-asan -j
 ./build-asan/tools/sdfsim --workload=overload --nodes=3 --replication=2 \
     --duration=0.2 --arrival-rate=60000 --storm=2.0 --engine=heap \
     > /dev/null
+# The RPC retry ladder (timeouts, backoff, late responses racing a
+# settled attempt) under the sanitizers.
+./build-asan/tools/sdfsim --workload=overload --nodes=3 --replication=2 \
+    --duration=0.2 --deadline-ms=0 --fail-slow-node=1 \
+    --fail-slow-factor=20 > /dev/null
 # The ycsb storm under the sanitizers: phased arrivals, hot-range skew,
 # cluster scan fan-out/merge, and per-phase accounting.
 ./build-asan/tools/sdfsim --workload=ycsb --profile=storm --nodes=3 \

@@ -126,7 +126,7 @@ void
 KvClient::Put(uint64_t key, uint32_t value_size, PutDone done)
 {
     ++stats_.puts;
-    const std::vector<uint32_t> order = router_.ReadOrder(key);
+    const kv::ReplicaOrder order = router_.ReadOrder(key);
     if (order.empty()) {
         ++stats_.errors;
         sim_.Post([done = std::move(done)]() {
@@ -147,7 +147,7 @@ void
 KvClient::Get(uint64_t key, GetDone done)
 {
     ++stats_.gets;
-    const std::vector<uint32_t> order = router_.ReadOrder(key);
+    const kv::ReplicaOrder order = router_.ReadOrder(key);
     if (order.empty()) {
         ++stats_.errors;
         sim_.Post([done = std::move(done)]() {
@@ -253,14 +253,13 @@ KvClient::Pump(uint32_t node)
         // preserved; a put in between is a barrier). The batch costs one
         // window slot however many reads it carries, so depth that built
         // up while the window was full drains as batches.
-        std::vector<PendingOp> gets;
         const uint32_t cap = cfg_.batch_max;
-        while (gets.size() < cap && !q.pending.empty() &&
+        while (batch_.size() < cap && !q.pending.empty() &&
                !q.pending.front().is_put) {
-            gets.push_back(std::move(q.pending.front()));
+            batch_.push_back(std::move(q.pending.front()));
             q.pending.pop_front();
         }
-        DispatchGets(node, std::move(gets));
+        DispatchGets(node);
     }
 }
 
@@ -302,43 +301,45 @@ KvClient::DispatchPut(uint32_t node, PendingOp op)
         nullptr, ctx);
 }
 
-void
-KvClient::DispatchGets(uint32_t node, std::vector<PendingOp> ops)
+std::shared_ptr<KvClient::GetOp>
+KvClient::NewGetOp(uint32_t node, PendingOp &p, TimeNs deadline,
+                   TimeNs hedge_after)
 {
-    SDF_CHECK(!ops.empty());
+    auto op = sim::MakePooledShared<GetOp>(get_op_pool_);
+    op->key = p.key;
+    op->node = node;
+    op->t0 = sim_.Now();
+    op->deadline = deadline;
+    op->done = std::move(p.get_done);
+    op->trace = p.trace;
+    op->span = std::move(p.span);
+    // Every member's queue segment ends at dispatch. Only the first
+    // member's span rides the RPC (single writer); the rest spend the
+    // round trip in rpc_wire — coarse but still a correct tiling.
+    if (op->span) op->span->Enter(obs::Stage::kRpcWire, sim_.Now());
+    if (hedge_after != 0) {
+        op->hedge_timer =
+            sim_.Schedule(hedge_after, [this, op]() { LaunchHedge(op); });
+    }
+    return op;
+}
+
+void
+KvClient::DispatchGets(uint32_t node)
+{
+    SDF_CHECK(!batch_.empty());
     NodeQueue &q = queues_[node];
     ++q.inflight;  // One RPC, one slot — batched or not.
 
     kv::OpContext ctx;
     ctx.deadline = DeadlineFromNow();
-
-    std::vector<std::shared_ptr<GetOp>> recs;
-    recs.reserve(ops.size());
     const TimeNs hedge_after = HedgeThreshold();
-    for (PendingOp &p : ops) {
-        auto op = sim::MakePooledShared<GetOp>(get_op_pool_);
-        op->key = p.key;
-        op->node = node;
-        op->t0 = sim_.Now();
-        op->deadline = ctx.deadline;
-        op->done = std::move(p.get_done);
-        op->trace = p.trace;
-        op->span = std::move(p.span);
-        // Every member's queue segment ends at dispatch. Only the first
-        // member's span rides the RPC (single writer); the rest spend the
-        // round trip in rpc_wire — coarse but still a correct tiling.
-        if (op->span) op->span->Enter(obs::Stage::kRpcWire, sim_.Now());
-        if (hedge_after != 0) {
-            op->hedge_timer = sim_.Schedule(
-                hedge_after, [this, op]() { LaunchHedge(op); });
-        }
-        recs.push_back(std::move(op));
-    }
-    ctx.trace = recs.front()->trace;
-    ctx.path = recs.front()->span;
 
-    if (recs.size() == 1) {
-        auto op = recs.front();
+    if (batch_.size() == 1) {
+        auto op = NewGetOp(node, batch_.front(), ctx.deadline, hedge_after);
+        batch_.clear();
+        ctx.trace = op->trace;
+        ctx.path = op->span;
         router_.GetAt(node, op->key, ctx,
                       [this, node, op](const kv::GetResult &res) {
                           ReleaseSlot(node);
@@ -347,6 +348,15 @@ KvClient::DispatchGets(uint32_t node, std::vector<PendingOp> ops)
         return;
     }
 
+    std::vector<std::shared_ptr<GetOp>> recs;
+    recs.reserve(batch_.size());
+    for (PendingOp &p : batch_) {
+        recs.push_back(NewGetOp(node, p, ctx.deadline, hedge_after));
+    }
+    batch_.clear();
+    ctx.trace = recs.front()->trace;
+    ctx.path = recs.front()->span;
+
     ++stats_.batches;
     stats_.batched_gets += recs.size();
     std::vector<uint64_t> keys;
@@ -354,8 +364,8 @@ KvClient::DispatchGets(uint32_t node, std::vector<PendingOp> ops)
     for (const auto &r : recs) keys.push_back(r->key);
     router_.BatchGetAt(
         node, std::move(keys), ctx,
-        [this, node,
-         recs = std::move(recs)](std::vector<kv::GetResult> results) {
+        [this, node, recs = std::move(recs)](
+            const std::vector<kv::GetResult> &results) {
             SDF_CHECK(results.size() == recs.size());
             ReleaseSlot(node);
             for (size_t i = 0; i < recs.size(); ++i) {
@@ -403,7 +413,7 @@ KvClient::LaunchHedge(const std::shared_ptr<GetOp> &op)
     if (op->settled) return;
     // Next-best replica under current policy (breaker-aware), excluding
     // the node the primary attempt went to.
-    const std::vector<uint32_t> order = router_.ReadOrder(op->key);
+    const kv::ReplicaOrder order = router_.ReadOrder(op->key);
     uint32_t target = op->node;
     for (uint32_t n : order) {
         if (n != op->node) {

@@ -190,7 +190,10 @@ class KvClient
     void Pump(uint32_t node);
     void ReleaseSlot(uint32_t node);
     void DispatchPut(uint32_t node, PendingOp op);
-    void DispatchGets(uint32_t node, std::vector<PendingOp> ops);
+    /** Dispatch batch_ (moved out and cleared) as one RPC to @p node. */
+    void DispatchGets(uint32_t node);
+    std::shared_ptr<GetOp> NewGetOp(uint32_t node, PendingOp &p,
+                                    TimeNs deadline, TimeNs hedge_after);
     void OnPrimaryResult(const std::shared_ptr<GetOp> &op,
                          const kv::GetResult &res);
     void LaunchHedge(const std::shared_ptr<GetOp> &op);
@@ -218,6 +221,8 @@ class KvClient
     sim::BlockPool get_op_pool_;
     sim::BlockPool span_pool_;
     std::vector<NodeQueue> queues_;
+    /** Pump()'s coalescing scratch, reused across dispatches. */
+    std::vector<PendingOp> batch_;
     ClientStats stats_;
     HedgeStats hedge_;
     util::LatencyRecorder read_lat_;

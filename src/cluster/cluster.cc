@@ -101,10 +101,18 @@ StorageNode::~StorageNode()
 }
 
 bool
-StorageNode::Admit()
+StorageNode::Accept(const char *name, uint64_t trace_id,
+                    const net::Network::TypedReply &reply)
 {
+    // A stopped process doesn't answer: the request just dies and the
+    // client times out + fails over.
+    if (!running_) return false;
     if (admission_cap_ != 0 && inflight_ >= admission_cap_) {
+        // Shed before any storage work: a fast typed nack the caller must
+        // not blindly retry.
         ++admission_.shed_overload;
+        EmitServerEvent(name, sim_.Now(), trace_id);
+        reply(kNackBytes, net::RpcCode::kOverloaded);
         return false;
     }
     ++admission_.admitted;
@@ -121,7 +129,7 @@ StorageNode::Release(uint64_t inc)
 }
 
 void
-StorageNode::Slowed(util::TimeNs start, std::function<void()> fn)
+StorageNode::Slowed(util::TimeNs start, sim::Callback fn)
 {
     if (fail_slow_mult_ <= 1.0) {
         fn();
@@ -134,6 +142,19 @@ StorageNode::Slowed(util::TimeNs start, std::function<void()> fn)
         return;
     }
     sim_.Schedule(extra, std::move(fn));
+}
+
+void
+StorageNode::Answer(const char *name, util::TimeNs t0, uint64_t trace_id,
+                    net::Network::TypedReply reply, uint64_t bytes)
+{
+    Slowed(t0, [this, name, reply = std::move(reply), bytes, t0,
+                trace_id]() {
+        // The process may have died during the fail-slow delay.
+        if (!running_) return;
+        EmitServerEvent(name, t0, trace_id);
+        reply(bytes, net::RpcCode::kOk);
+    });
 }
 
 void
@@ -231,214 +252,226 @@ StorageNode::StreamIn(uint64_t key, uint32_t value_size,
 void
 StorageNode::StreamOut(uint64_t key, kv::GetCallback done)
 {
+    kv::GetResult dead;
+    dead.ok = false;
+    dead.status = kv::OpStatus::kError;
     if (!running_) {
-        sim_.Post([done = std::move(done)]() {
-            kv::GetResult dead;
-            dead.ok = false;
-            done(dead);
-        });
+        sim_.Post([done = std::move(done), dead]() { done(dead); });
         return;
     }
-    store().Get(key, [this, done = std::move(done)](const kv::GetResult &r) {
-        if (!running_) {
-            kv::GetResult dead;
-            dead.ok = false;
-            done(dead);
-            return;
-        }
-        done(r);
+    store().Get(key, [this, done = std::move(done),
+                      dead](const kv::GetResult &r) {
+        done(running_ ? r : dead);
     });
 }
 
-kv::ReplicaEndpoint
-StorageNode::Endpoint()
+std::shared_ptr<StorageNode::Request>
+StorageNode::NewRequest(uint64_t key, const kv::OpContext &ctx,
+                        FailSlowBreaker &breaker)
 {
-    kv::ReplicaEndpoint ep;
-    ep.put = [this](uint64_t key, uint32_t value_size,
-                    kv::PutStatusCallback done,
-                    std::shared_ptr<std::vector<uint8_t>> payload,
-                    kv::OpContext ctx) {
-        const uint32_t client = next_client_++ % clients_;
-        net_->RpcTyped(
-            client, uint64_t{value_size} + kRpcHeaderBytes, ctx.deadline,
-            [this, key, value_size, payload, span = ctx.path,
-             trace_id = ctx.trace.trace_id](
-                util::TimeNs /*deadline*/, net::Network::TypedReply reply) {
-                // A stopped process doesn't answer: the request just dies
-                // and the client times out + fails over.
-                if (!running_) return;
-                const util::TimeNs t0 = sim_.Now();
-                if (!Admit()) {
-                    // Shed before any storage work: a fast typed nack the
-                    // caller must not blindly retry.
-                    EmitServerEvent("server.put", t0, trace_id);
-                    reply(kNackBytes, net::RpcCode::kOverloaded);
-                    return;
-                }
-                const uint64_t inc = incarnation_;
-                if (span) span->Enter(obs::Stage::kStorage, t0);
-                // Re-puts from RPC retries are idempotent: the LSM just
-                // writes the same (key, size) again.
-                store().Put(
-                    key, value_size,
-                    [this, inc, t0, span, trace_id,
-                     reply = std::move(reply)](bool ok) {
-                        Release(inc);
-                        if (span) {
-                            span->Enter(obs::Stage::kServerHandle,
-                                        sim_.Now());
-                        }
-                        // Only a durable put acks; a storage failure stays
-                        // silent so the client times out and retries
-                        // (and the engine eventually fails over). The same
-                        // goes for an ack racing a Stop(): the process died
-                        // before replying.
-                        if (ok && running_) {
-                            Slowed(t0, [this, reply, t0, trace_id]() {
-                                if (running_) {
-                                    EmitServerEvent("server.put", t0,
-                                                    trace_id);
-                                    reply(kAckBytes, net::RpcCode::kOk);
-                                }
-                            });
-                        }
-                    },
-                    std::move(payload));
-            },
-            [done = std::move(done)](net::RpcCode code) {
-                if (done) done(CodeToStatus(code));
-            },
-            ctx.path);
-    };
-    ep.get = [this](uint64_t key, kv::GetCallback done, kv::OpContext ctx) {
-        const uint32_t client = next_client_++ % clients_;
-        auto res = std::make_shared<kv::GetResult>();
-        net_->RpcTyped(
-            client, kRpcHeaderBytes, ctx.deadline,
-            [this, key, res, span = ctx.path,
-             trace_id = ctx.trace.trace_id](util::TimeNs /*deadline*/,
-                                            net::Network::TypedReply reply) {
-                if (!running_) return;
-                const util::TimeNs t0 = sim_.Now();
-                if (!Admit()) {
-                    EmitServerEvent("server.get", t0, trace_id);
-                    reply(kNackBytes, net::RpcCode::kOverloaded);
-                    return;
-                }
-                const uint64_t inc = incarnation_;
-                if (span) span->Enter(obs::Stage::kStorage, t0);
-                store().Get(key, [this, inc, res, t0, span, trace_id,
-                                  reply = std::move(reply)](
-                                     const kv::GetResult &r) {
-                    Release(inc);
-                    if (!running_) return;
-                    if (span) {
-                        span->Enter(obs::Stage::kServerHandle, sim_.Now());
-                    }
-                    *res = r;
-                    // Failures/misses reply fast (small nack) so the
-                    // router fails over to the next replica immediately
-                    // instead of waiting out the retry ladder.
-                    const uint64_t bytes =
-                        r.ok && r.found
-                            ? uint64_t{r.value_size} + kRpcHeaderBytes
-                            : kNackBytes;
-                    Slowed(t0, [this, reply, bytes, t0, trace_id]() {
-                        if (running_) {
-                            EmitServerEvent("server.get", t0, trace_id);
-                            reply(bytes, net::RpcCode::kOk);
-                        }
-                    });
-                });
-            },
-            [res, done = std::move(done)](net::RpcCode code) {
-                if (code != net::RpcCode::kOk) {
-                    kv::GetResult dead;
-                    dead.ok = false;
-                    dead.status = CodeToStatus(code);
-                    done(dead);
-                } else {
-                    done(*res);
-                }
-            },
-            ctx.path);
-    };
-    return ep;
+    auto req = sim::MakePooledShared<Request>(request_pool_);
+    req->node = this;
+    req->key = key;
+    req->sent = sim_.Now();
+    req->breaker = &breaker;
+    req->trace_id = ctx.trace.trace_id;
+    req->span = ctx.path;
+    return req;
 }
 
 void
-StorageNode::BatchGet(std::vector<uint64_t> keys, kv::OpContext ctx,
-                      BatchGetCallback done)
+StorageNode::Sample(FailSlowBreaker &breaker, util::TimeNs sent,
+                    net::RpcCode code)
+{
+    if (code != net::RpcCode::kOverloaded) {
+        breaker.Record(id_, sim_.Now() - sent);
+    }
+}
+
+void
+StorageNode::Put(uint64_t key, uint32_t value_size,
+                 std::shared_ptr<std::vector<uint8_t>> payload,
+                 const kv::OpContext &ctx, kv::PutStatusCallback done,
+                 FailSlowBreaker &breaker)
+{
+    const uint32_t client = next_client_++ % clients_;
+    auto req = NewRequest(key, ctx, breaker);
+    req->value_size = value_size;
+    req->payload = std::move(payload);
+    req->put_done = std::move(done);
+    net_->RpcTyped(
+        client, uint64_t{value_size} + kRpcHeaderBytes, ctx.deadline,
+        [req](net::Network::TypedReply reply) {
+            req->node->ServePut(req, std::move(reply));
+        },
+        [req](net::RpcCode code) {
+            req->node->Sample(*req->breaker, req->sent, code);
+            if (req->put_done) req->put_done(CodeToStatus(code));
+        },
+        ctx.path);
+}
+
+void
+StorageNode::ServePut(const std::shared_ptr<Request> &req,
+                      net::Network::TypedReply reply)
+{
+    if (!Accept("server.put", req->trace_id, reply)) return;
+    const util::TimeNs t0 = sim_.Now();
+    const uint64_t inc = incarnation_;
+    if (req->span) req->span->Enter(obs::Stage::kStorage, t0);
+    // Re-puts from RPC retries are idempotent: the LSM just writes the
+    // same (key, size) again.
+    store().Put(
+        req->key, req->value_size,
+        [req, reply = std::move(reply), t0, inc](bool ok) {
+            StorageNode &n = *req->node;
+            n.Release(inc);
+            if (req->span) {
+                req->span->Enter(obs::Stage::kServerHandle, n.sim_.Now());
+            }
+            // Only a durable put acks; a storage failure stays silent so
+            // the client times out and retries (and the engine eventually
+            // fails over). The same goes for an ack racing a Stop(): the
+            // process died before replying.
+            if (!ok || !n.running_) return;
+            n.Answer("server.put", t0, req->trace_id, reply, kAckBytes);
+        },
+        req->payload);
+}
+
+void
+StorageNode::Get(uint64_t key, const kv::OpContext &ctx,
+                 kv::GetCallback done, FailSlowBreaker &breaker)
+{
+    const uint32_t client = next_client_++ % clients_;
+    auto req = NewRequest(key, ctx, breaker);
+    req->get_done = std::move(done);
+    net_->RpcTyped(
+        client, kRpcHeaderBytes, ctx.deadline,
+        [req](net::Network::TypedReply reply) {
+            req->node->ServeGet(req, std::move(reply));
+        },
+        [req](net::RpcCode code) { req->node->GetDone(*req, code); },
+        ctx.path);
+}
+
+void
+StorageNode::ServeGet(const std::shared_ptr<Request> &req,
+                      net::Network::TypedReply reply)
+{
+    if (!Accept("server.get", req->trace_id, reply)) return;
+    const util::TimeNs t0 = sim_.Now();
+    const uint64_t inc = incarnation_;
+    if (req->span) req->span->Enter(obs::Stage::kStorage, t0);
+    store().Get(req->key, [req, reply = std::move(reply), t0,
+                           inc](const kv::GetResult &r) {
+        StorageNode &n = *req->node;
+        n.Release(inc);
+        if (!n.running_) return;
+        if (req->span) {
+            req->span->Enter(obs::Stage::kServerHandle, n.sim_.Now());
+        }
+        req->result = r;
+        // Failures/misses reply fast (small nack) so the router fails
+        // over to the next replica immediately instead of waiting out the
+        // retry ladder.
+        const uint64_t bytes = r.ok && r.found
+                                   ? uint64_t{r.value_size} + kRpcHeaderBytes
+                                   : kNackBytes;
+        n.Answer("server.get", t0, req->trace_id, reply, bytes);
+    });
+}
+
+void
+StorageNode::GetDone(Request &req, net::RpcCode code)
+{
+    Sample(*req.breaker, req.sent, code);
+    if (code == net::RpcCode::kOk) {
+        req.get_done(req.result);
+        return;
+    }
+    kv::GetResult dead;
+    dead.ok = false;
+    dead.status = CodeToStatus(code);
+    req.get_done(dead);
+}
+
+void
+StorageNode::BatchGet(std::vector<uint64_t> keys, const kv::OpContext &ctx,
+                      BatchGetCallback done, FailSlowBreaker &breaker)
 {
     SDF_CHECK_MSG(!keys.empty(), "empty batch");
     const uint32_t client = next_client_++ % clients_;
     const uint64_t request_bytes = kRpcHeaderBytes + 8 * keys.size();
-    auto results = std::make_shared<std::vector<kv::GetResult>>();
-    const size_t n = keys.size();
+    auto req = sim::MakePooledShared<BatchRequest>(batch_pool_);
+    req->node = this;
+    req->sent = sim_.Now();
+    req->breaker = &breaker;
+    req->trace_id = ctx.trace.trace_id;
+    req->span = ctx.path;
+    req->keys = std::move(keys);
+    req->done = std::move(done);
     net_->RpcTyped(
         client, request_bytes, ctx.deadline,
-        [this, keys = std::move(keys), results, span = ctx.path,
-         trace_id = ctx.trace.trace_id](
-            util::TimeNs /*deadline*/, net::Network::TypedReply reply) {
-            if (!running_) return;
-            const util::TimeNs t0 = sim_.Now();
-            // The whole batch costs one admission slot: coalescing is how
-            // a client *reduces* pressure, so it must not multiply it.
-            if (!Admit()) {
-                EmitServerEvent("server.batch_get", t0, trace_id);
-                reply(kNackBytes, net::RpcCode::kOverloaded);
-                return;
-            }
-            const uint64_t inc = incarnation_;
-            if (span) span->Enter(obs::Stage::kStorage, t0);
-            results->assign(keys.size(), kv::GetResult{});
-            auto remaining = std::make_shared<size_t>(keys.size());
-            auto shared_reply = std::make_shared<net::Network::TypedReply>(
-                std::move(reply));
-            for (size_t i = 0; i < keys.size(); ++i) {
-                store().Get(
-                    keys[i],
-                    [this, inc, i, t0, results, remaining, span, trace_id,
-                     shared_reply](const kv::GetResult &r) {
-                        (*results)[i] = r;
-                        if (--*remaining > 0) return;
-                        Release(inc);
-                        if (!running_) return;
-                        if (span) {
-                            span->Enter(obs::Stage::kServerHandle,
-                                        sim_.Now());
-                        }
-                        uint64_t bytes = kRpcHeaderBytes;
-                        for (const kv::GetResult &res : *results) {
-                            bytes += res.ok && res.found
-                                         ? uint64_t{res.value_size} +
-                                               kRpcHeaderBytes
-                                         : kNackBytes;
-                        }
-                        Slowed(t0, [this, shared_reply, bytes, t0,
-                                    trace_id]() {
-                            if (running_) {
-                                EmitServerEvent("server.batch_get", t0,
-                                                trace_id);
-                                (*shared_reply)(bytes, net::RpcCode::kOk);
-                            }
-                        });
-                    });
-            }
+        [req](net::Network::TypedReply reply) {
+            req->node->ServeBatch(req, std::move(reply));
         },
-        [results, n, done = std::move(done)](net::RpcCode code) {
-            if (code != net::RpcCode::kOk || results->size() != n) {
-                std::vector<kv::GetResult> fail(n);
-                for (kv::GetResult &r : fail) {
-                    r.ok = false;
-                    r.status = CodeToStatus(code);
-                }
-                done(std::move(fail));
-            } else {
-                done(*results);
-            }
-        },
+        [req](net::RpcCode code) { req->node->BatchDone(*req, code); },
         ctx.path);
+}
+
+void
+StorageNode::ServeBatch(const std::shared_ptr<BatchRequest> &req,
+                        net::Network::TypedReply reply)
+{
+    // The whole batch costs one admission slot: coalescing is how a
+    // client *reduces* pressure, so it must not multiply it.
+    if (!Accept("server.batch_get", req->trace_id, reply)) return;
+    const util::TimeNs t0 = sim_.Now();
+    if (req->span) req->span->Enter(obs::Stage::kStorage, t0);
+    req->results.assign(req->keys.size(), kv::GetResult{});
+    auto serve = sim::MakePooledShared<BatchServe>(batch_serve_pool_);
+    serve->req = req;
+    serve->reply = std::move(reply);
+    serve->t0 = t0;
+    serve->inc = incarnation_;
+    serve->remaining = req->keys.size();
+    for (size_t i = 0; i < req->keys.size(); ++i) {
+        store().Get(req->keys[i], [serve, i](const kv::GetResult &r) {
+            BatchRequest &b = *serve->req;
+            StorageNode &n = *b.node;
+            b.results[i] = r;
+            if (--serve->remaining > 0) return;
+            n.Release(serve->inc);
+            if (!n.running_) return;
+            if (b.span) b.span->Enter(obs::Stage::kServerHandle, n.sim_.Now());
+            uint64_t bytes = kRpcHeaderBytes;
+            for (const kv::GetResult &res : b.results) {
+                bytes += res.ok && res.found
+                             ? uint64_t{res.value_size} + kRpcHeaderBytes
+                             : kNackBytes;
+            }
+            n.Answer("server.batch_get", serve->t0, b.trace_id, serve->reply,
+                     bytes);
+        });
+    }
+}
+
+void
+StorageNode::BatchDone(BatchRequest &req, net::RpcCode code)
+{
+    // One service-time sample per batch RPC.
+    Sample(*req.breaker, req.sent, code);
+    if (code == net::RpcCode::kOk && req.results.size() == req.keys.size()) {
+        req.done(req.results);
+        return;
+    }
+    std::vector<kv::GetResult> fail(req.keys.size());
+    for (kv::GetResult &r : fail) {
+        r.ok = false;
+        r.status = CodeToStatus(code);
+    }
+    req.done(fail);
 }
 
 void
@@ -454,17 +487,12 @@ StorageNode::Scan(uint64_t start_key, uint32_t limit,
     net_->RpcTyped(
         client, request_bytes, ctx.deadline,
         [this, start_key, limit, owned = std::move(owned), result,
-         span = ctx.path, trace_id = ctx.trace.trace_id](
-            util::TimeNs /*deadline*/, net::Network::TypedReply reply) {
-            if (!running_) return;
-            const util::TimeNs t0 = sim_.Now();
+         span = ctx.path,
+         trace_id = ctx.trace.trace_id](net::Network::TypedReply reply) {
             // Like a batch, the whole scan costs one admission slot: it
             // is one request however many keys it touches.
-            if (!Admit()) {
-                EmitServerEvent("server.scan", t0, trace_id);
-                reply(kNackBytes, net::RpcCode::kOverloaded);
-                return;
-            }
+            if (!Accept("server.scan", trace_id, reply)) return;
+            const util::TimeNs t0 = sim_.Now();
             const uint64_t inc = incarnation_;
             if (span) span->Enter(obs::Stage::kStorage, t0);
             store().Scan(
@@ -483,12 +511,7 @@ StorageNode::Scan(uint64_t start_key, uint32_t limit,
                         r.ok ? kRpcHeaderBytes + r.scanned_bytes +
                                    16 * r.entries.size()
                              : kNackBytes;
-                    Slowed(t0, [this, reply, bytes, t0, trace_id]() {
-                        if (running_) {
-                            EmitServerEvent("server.scan", t0, trace_id);
-                            reply(bytes, net::RpcCode::kOk);
-                        }
-                    });
+                    Answer("server.scan", t0, trace_id, reply, bytes);
                 },
                 owned);
         },
@@ -524,15 +547,14 @@ ClusterRouter::ClusterRouter(sim::Simulator &sim,
       node_gets_(nodes.size(), 0),
       nodes_(nodes),
       breaker_(static_cast<uint32_t>(nodes.size()), breaker),
-      direct_(BuildEndpoints(nodes)),
-      engine_(sim, BuildEndpoints(nodes),
-              [this](uint64_t key) { return ReadOrder(key); })
+      engine_(sim, *this)
 {
     SDF_CHECK_MSG(replication >= 1 && replication <= nodes.size(),
                   "replication must be in [1, nodes]");
-    // Placement moves whenever membership does; gets that straddle a
-    // membership change restart against the fresh replica set.
-    engine_.set_epoch_provider([this]() { return epoch_; });
+    SDF_CHECK_MSG(replication <= kv::ReplicaOrder::kMaxReplicas,
+                  "replication above kv::ReplicaOrder::kMaxReplicas");
+    // Replica i is node i: the breaker and the node counters index by id.
+    for (size_t i = 0; i < nodes.size(); ++i) SDF_CHECK(nodes[i]->id() == i);
     hub_ = sim.hub();
     if (hub_ != nullptr) {
         obs::MetricsRegistry &m = hub_->metrics();
@@ -580,47 +602,54 @@ ClusterRouter::ClusterRouter(sim::Simulator &sim,
     }
 }
 
-std::vector<uint32_t>
+kv::ReplicaOrder
 ClusterRouter::ReadOrder(uint64_t key)
 {
-    std::vector<uint32_t> order = ring_.ReplicasFor(key, replication_);
+    const kv::ReplicaOrder order = ring_.ReplicasFor(key, replication_);
     if (!breaker_.AnyOpen() || order.size() < 2) return order;
-    const uint32_t head = order.front();
-    std::stable_partition(order.begin(), order.end(), [this](uint32_t n) {
-        return !breaker_.IsOpen(n);
-    });
-    if (order.front() != head) breaker_.CountReroute();
-    return order;
+    // Stable partition: breaker-open nodes move to the back, both groups
+    // keeping their ring order.
+    kv::ReplicaOrder demoted;
+    for (uint32_t n : order) {
+        if (!breaker_.IsOpen(n)) demoted.push_back(n);
+    }
+    for (uint32_t n : order) {
+        if (breaker_.IsOpen(n)) demoted.push_back(n);
+    }
+    if (demoted.front() != order.front()) breaker_.CountReroute();
+    return demoted;
 }
 
 void
-ClusterRouter::GetAt(uint32_t node, uint64_t key, kv::OpContext ctx,
-                     kv::GetCallback done)
+ClusterRouter::PutTo(uint32_t node, uint64_t key, uint32_t value_size,
+                     kv::PutStatusCallback done,
+                     std::shared_ptr<std::vector<uint8_t>> payload,
+                     const kv::OpContext &ctx)
 {
-    SDF_CHECK(node < direct_.size());
-    direct_[node].get(key, std::move(done), ctx);
+    SDF_CHECK(node < nodes_.size());
+    ++node_puts_[node];
+    nodes_[node]->Put(key, value_size, std::move(payload), ctx,
+                      std::move(done), breaker_);
+}
+
+void
+ClusterRouter::GetFrom(uint32_t node, uint64_t key, kv::GetCallback done,
+                       const kv::OpContext &ctx)
+{
+    SDF_CHECK(node < nodes_.size());
+    ++node_gets_[node];
+    nodes_[node]->Get(key, ctx, std::move(done), breaker_);
 }
 
 void
 ClusterRouter::BatchGetAt(uint32_t node, std::vector<uint64_t> keys,
-                          kv::OpContext ctx,
+                          const kv::OpContext &ctx,
                           StorageNode::BatchGetCallback done)
 {
     SDF_CHECK(node < nodes_.size());
     node_gets_[node] += keys.size();
-    const util::TimeNs t0 = sim_.Now();
-    nodes_[node]->BatchGet(
-        std::move(keys), ctx,
-        [this, node, t0,
-         done = std::move(done)](std::vector<kv::GetResult> results) {
-            // One service-time sample per batch RPC; sheds excluded (a
-            // fast refusal must not make an overloaded node look healthy).
-            const bool shed =
-                !results.empty() && !results.front().ok &&
-                results.front().status == kv::OpStatus::kOverloaded;
-            if (!shed) breaker_.Record(node, sim_.Now() - t0);
-            done(std::move(results));
-        });
+    nodes_[node]->BatchGet(std::move(keys), ctx, std::move(done),
+                           breaker_);
 }
 
 void
@@ -716,56 +745,6 @@ ClusterRouter::MarkNodeUp(uint32_t id)
 ClusterRouter::~ClusterRouter()
 {
     if (hub_ != nullptr) hub_->metrics().UnregisterPrefix(metric_prefix_);
-}
-
-std::vector<kv::ReplicaEndpoint>
-ClusterRouter::BuildEndpoints(const std::vector<StorageNode *> &nodes)
-{
-    // Every completion that is not an admission shed feeds the breaker's
-    // per-node service-time EWMA: a shed is a fast refusal, not service.
-    std::vector<kv::ReplicaEndpoint> eps;
-    eps.reserve(nodes.size());
-    for (size_t i = 0; i < nodes.size(); ++i) {
-        kv::ReplicaEndpoint ep = nodes[i]->Endpoint();
-        eps.push_back(kv::ReplicaEndpoint{
-            [this, i, put = std::move(ep.put)](
-                uint64_t key, uint32_t value_size,
-                kv::PutStatusCallback done,
-                std::shared_ptr<std::vector<uint8_t>> payload,
-                kv::OpContext ctx) {
-                ++node_puts_[i];
-                const util::TimeNs t0 = sim_.Now();
-                put(
-                    key, value_size,
-                    [this, i, t0,
-                     done = std::move(done)](kv::OpStatus s) {
-                        if (s != kv::OpStatus::kOverloaded) {
-                            breaker_.Record(static_cast<uint32_t>(i),
-                                            sim_.Now() - t0);
-                        }
-                        if (done) done(s);
-                    },
-                    std::move(payload), ctx);
-            },
-            [this, i, get = std::move(ep.get)](
-                uint64_t key, kv::GetCallback done, kv::OpContext ctx) {
-                ++node_gets_[i];
-                const util::TimeNs t0 = sim_.Now();
-                get(
-                    key,
-                    [this, i, t0,
-                     done = std::move(done)](const kv::GetResult &r) {
-                        if (r.ok ||
-                            r.status != kv::OpStatus::kOverloaded) {
-                            breaker_.Record(static_cast<uint32_t>(i),
-                                            sim_.Now() - t0);
-                        }
-                        done(r);
-                    },
-                    ctx);
-            }});
-    }
-    return eps;
 }
 
 workload::KvService

@@ -12,9 +12,10 @@
  *    metrics self-register under "node<N>.*".
  *  - ClusterRouter: the client-side library that consistent-hash-shards
  *    keys over the nodes with R-way replication, reusing
- *    kv::ReplicationEngine for fan-out, failover and read-repair; RPCs go
- *    through net::Network's timeout/backoff path, so a dead node degrades
- *    into retries + failover instead of a hang.
+ *    kv::ReplicationEngine (as its kv::ReplicaSet) for fan-out, failover
+ *    and read-repair; RPCs go through net::Network's timeout/backoff
+ *    path, so a dead node degrades into retries + failover instead of a
+ *    hang.
  *  - Cluster: convenience bundle (N nodes + router) for benches/tools.
  */
 #ifndef SDF_CLUSTER_CLUSTER_H
@@ -32,6 +33,7 @@
 #include "kv/replicated_store.h"
 #include "kv/store.h"
 #include "net/network.h"
+#include "sim/pool.h"
 #include "sim/simulator.h"
 #include "testbed/testbed.h"
 #include "workload/kv_driver.h"
@@ -94,7 +96,7 @@ class StorageNode
 
     /** Completion of a BatchGet: one result per requested key, in order. */
     using BatchGetCallback =
-        std::function<void(std::vector<kv::GetResult> results)>;
+        sim::Func<void(const std::vector<kv::GetResult> &results)>;
 
     /** Completion of a node- or cluster-level range scan. */
     using ScanDoneCallback = std::function<void(kv::ScanResult result)>;
@@ -151,14 +153,22 @@ class StorageNode
     void StreamOut(uint64_t key, kv::GetCallback done);
 
     /**
-     * How the replication engine reaches this node: put/get as RPCs with
-     * client-side timeout + retry. A put acks only once the store made the
-     * value durable (a storage failure is surfaced as a timeout, so the
-     * router retries and eventually fails over); a get that fails at
-     * storage level replies quickly with res.ok == false so the router can
-     * fail over without burning the retry budget.
+     * Client stubs — how the router reaches this node: each request is
+     * one RPC with client-side timeout + retry, carried by one pooled
+     * record shared by every attempt. A put acks only once the store made
+     * the value durable (a storage failure is surfaced as a timeout, so
+     * the router retries and eventually fails over); a get that fails at
+     * storage level replies quickly with res.ok == false so the router
+     * can fail over without burning the retry budget. Every completion
+     * that is not an admission shed feeds this node's service-time EWMA
+     * in @p breaker (a shed is a fast refusal, not service).
      */
-    kv::ReplicaEndpoint Endpoint();
+    void Get(uint64_t key, const kv::OpContext &ctx, kv::GetCallback done,
+             FailSlowBreaker &breaker);
+    void Put(uint64_t key, uint32_t value_size,
+             std::shared_ptr<std::vector<uint8_t>> payload,
+             const kv::OpContext &ctx, kv::PutStatusCallback done,
+             FailSlowBreaker &breaker);
 
     /**
      * Coalesced read: one RPC carrying @p keys, served as parallel local
@@ -166,10 +176,10 @@ class StorageNode
      * admission slot and one dispatch regardless of batch size — the
      * client front door uses this to amortize per-message overhead. On a
      * transport-level failure (deadline, shed, dead node) every result
-     * carries the same typed status.
+     * carries the same typed status. @p breaker as for Get().
      */
-    void BatchGet(std::vector<uint64_t> keys, kv::OpContext ctx,
-                  BatchGetCallback done);
+    void BatchGet(std::vector<uint64_t> keys, const kv::OpContext &ctx,
+                  BatchGetCallback done, FailSlowBreaker &breaker);
 
     /**
      * Range scan RPC: one request carrying (start_key, limit) plus the
@@ -205,8 +215,75 @@ class StorageNode
     void FlushAll();
 
   private:
-    /** Admission check at the RPC dispatcher; counts the decision. */
-    bool Admit();
+    /**
+     * One single-key RPC into this node: the client stub's completion and
+     * what the server side reads. Shared by every attempt; the served get
+     * result rides here from the server's reply to the client's
+     * completion.
+     */
+    struct Request
+    {
+        StorageNode *node = nullptr;
+        uint64_t key = 0;
+        uint32_t value_size = 0;
+        util::TimeNs sent = 0;  ///< Client send time (breaker sample).
+        FailSlowBreaker *breaker = nullptr;  ///< Set by NewRequest.
+        uint64_t trace_id = 0;
+        std::shared_ptr<obs::IoSpan> span;
+        std::shared_ptr<std::vector<uint8_t>> payload;
+        kv::GetResult result;
+        kv::GetCallback get_done;
+        kv::PutStatusCallback put_done;
+    };
+
+    /** One BatchGet RPC (shared by every attempt). */
+    struct BatchRequest
+    {
+        StorageNode *node = nullptr;
+        util::TimeNs sent = 0;
+        FailSlowBreaker *breaker = nullptr;  ///< Set by BatchGet.
+        uint64_t trace_id = 0;
+        std::shared_ptr<obs::IoSpan> span;
+        std::vector<uint64_t> keys;
+        std::vector<kv::GetResult> results;
+        BatchGetCallback done;
+    };
+
+    /** Server side of one BatchGet attempt: its local gets join here. */
+    struct BatchServe
+    {
+        std::shared_ptr<BatchRequest> req;
+        net::Network::TypedReply reply;
+        util::TimeNs t0 = 0;
+        uint64_t inc = 0;
+        size_t remaining = 0;
+    };
+
+    std::shared_ptr<Request> NewRequest(uint64_t key,
+                                        const kv::OpContext &ctx,
+                                        FailSlowBreaker &breaker);
+    void ServeGet(const std::shared_ptr<Request> &req,
+                  net::Network::TypedReply reply);
+    void ServePut(const std::shared_ptr<Request> &req,
+                  net::Network::TypedReply reply);
+    void ServeBatch(const std::shared_ptr<BatchRequest> &req,
+                    net::Network::TypedReply reply);
+    /** Client side: a node RPC settled with @p code. */
+    void Sample(FailSlowBreaker &breaker, util::TimeNs sent,
+                net::RpcCode code);
+    void GetDone(Request &req, net::RpcCode code);
+    void BatchDone(BatchRequest &req, net::RpcCode code);
+    /**
+     * Server-side entry of every request: a stopped process stays silent,
+     * and admission control sheds with a typed kOverloaded nack (counted,
+     * traced as @p name). @return true when the request was admitted.
+     */
+    bool Accept(const char *name, uint64_t trace_id,
+                const net::Network::TypedReply &reply);
+    /** Send the response of @p bytes after the fail-slow delay (see
+     *  Slowed()), unless the process died meanwhile; traces @p name. */
+    void Answer(const char *name, util::TimeNs t0, uint64_t trace_id,
+                net::Network::TypedReply reply, uint64_t bytes);
     /** Emit a server-side trace event on this node's track: the handler
      *  occupancy from @p start to now, tagged with the request's
      *  distributed trace id (0 or tracing off = no-op). */
@@ -218,7 +295,7 @@ class StorageNode
     /** Run @p fn now — or, when fail-slow, after (mult-1)x the service
      *  time elapsed since @p start. Inline when healthy, so runs without
      *  injection are byte-identical to before the knob existed. */
-    void Slowed(util::TimeNs start, std::function<void()> fn);
+    void Slowed(util::TimeNs start, sim::Callback fn);
 
     sim::Simulator &sim_;
     uint32_t id_;
@@ -232,6 +309,11 @@ class StorageNode
      *  process detect they are stale. */
     uint64_t incarnation_ = 0;
     AdmissionStats admission_;
+    /** Per-request records (declared before net_: a pending event may
+     *  hold one; see sim::BlockPool). */
+    sim::BlockPool request_pool_;
+    sim::BlockPool batch_pool_;
+    sim::BlockPool batch_serve_pool_;
     std::unique_ptr<net::Network> net_;
     testbed::KvStack stack_;
     /** Store construction recipe, reused by Restart(). */
@@ -253,10 +335,11 @@ class StorageNode
 
 /**
  * Client-side shard router: key -> R distinct nodes via the consistent-
- * hash ring, fan-out/failover/read-repair via kv::ReplicationEngine. The
- * nodes must outlive the router.
+ * hash ring, fan-out/failover/read-repair via kv::ReplicationEngine (the
+ * router is the engine's ReplicaSet: replica i is node i). The nodes must
+ * outlive the router.
  */
-class ClusterRouter
+class ClusterRouter : private kv::ReplicaSet
 {
   public:
     ClusterRouter(sim::Simulator &sim,
@@ -271,7 +354,10 @@ class ClusterRouter
     /** Nodes currently in the membership (live nodes). */
     uint32_t node_count() const { return ring_.node_count(); }
     /** All nodes this router can reach, live or not. */
-    uint32_t endpoint_count() const { return engine_.endpoint_count(); }
+    uint32_t endpoint_count() const
+    {
+        return static_cast<uint32_t>(nodes_.size());
+    }
     uint32_t replication() const { return replication_; }
     const HashRing &ring() const { return ring_; }
 
@@ -290,7 +376,7 @@ class ClusterRouter
     void MarkNodeUp(uint32_t id);
 
     /** Current target replica set for @p key (clamped to live nodes). */
-    std::vector<uint32_t> ReplicaNodes(uint64_t key) const
+    kv::ReplicaOrder ReplicaNodes(uint64_t key) const
     {
         return ring_.ReplicasFor(key, replication_);
     }
@@ -301,7 +387,7 @@ class ClusterRouter
      * order the engine walks and the order the client front door hedges
      * against.
      */
-    std::vector<uint32_t> ReadOrder(uint64_t key);
+    kv::ReplicaOrder ReadOrder(uint64_t key);
 
     /** See ReplicationEngine::Put (ack == at least one durable copy). */
     void
@@ -334,12 +420,17 @@ class ClusterRouter
      * primary/hedge attempts. Counted and breaker-sampled like every
      * routed request.
      */
-    void GetAt(uint32_t node, uint64_t key, kv::OpContext ctx,
-               kv::GetCallback done);
+    void
+    GetAt(uint32_t node, uint64_t key, const kv::OpContext &ctx,
+          kv::GetCallback done)
+    {
+        GetFrom(node, key, std::move(done), ctx);
+    }
 
     /** Direct coalesced read on one node; see StorageNode::BatchGet. */
     void BatchGetAt(uint32_t node, std::vector<uint64_t> keys,
-                    kv::OpContext ctx, StorageNode::BatchGetCallback done);
+                    const kv::OpContext &ctx,
+                    StorageNode::BatchGetCallback done);
 
     /**
      * Cluster range scan: fan one Scan RPC out to every live node, each
@@ -379,8 +470,17 @@ class ClusterRouter
     const FailSlowBreaker &breaker() const { return breaker_; }
 
   private:
-    std::vector<kv::ReplicaEndpoint>
-    BuildEndpoints(const std::vector<StorageNode *> &nodes);
+    // kv::ReplicaSet: replica i is node i, counted per node and sampled
+    // by the breaker on completion.
+    uint32_t replica_count() const override { return endpoint_count(); }
+    kv::ReplicaOrder Order(uint64_t key) override { return ReadOrder(key); }
+    uint64_t Epoch() const override { return epoch_; }
+    void PutTo(uint32_t node, uint64_t key, uint32_t value_size,
+               kv::PutStatusCallback done,
+               std::shared_ptr<std::vector<uint8_t>> payload,
+               const kv::OpContext &ctx) override;
+    void GetFrom(uint32_t node, uint64_t key, kv::GetCallback done,
+                 const kv::OpContext &ctx) override;
 
     sim::Simulator &sim_;
     HashRing ring_;
@@ -393,8 +493,6 @@ class ClusterRouter
     uint64_t scan_failures_ = 0;
     std::vector<StorageNode *> nodes_;
     FailSlowBreaker breaker_;
-    /** Unwrapped per-node endpoints for GetAt (engine_ owns its own). */
-    std::vector<kv::ReplicaEndpoint> direct_;
     kv::ReplicationEngine engine_;
     obs::Hub *hub_ = nullptr;
     std::string metric_prefix_;

@@ -53,17 +53,16 @@ HashRing::Rebuild()
     std::sort(points_.begin(), points_.end());
 }
 
-std::vector<uint32_t>
+kv::ReplicaOrder
 HashRing::ReplicasFor(uint64_t key, uint32_t replication) const
 {
     SDF_CHECK_MSG(replication >= 1, "replication must be >= 1");
     const uint32_t want =
         std::min(replication, static_cast<uint32_t>(ids_.size()));
-    std::vector<uint32_t> out;
+    kv::ReplicaOrder out;
     if (want == 0) return out;
     uint64_t state = key;
     const uint64_t h = util::SplitMix64(state);
-    out.reserve(want);
     auto it = std::lower_bound(points_.begin(), points_.end(),
                                std::make_pair(h, uint32_t{0}));
     for (size_t scanned = 0;

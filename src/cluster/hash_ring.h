@@ -23,6 +23,8 @@
 #include <utility>
 #include <vector>
 
+#include "kv/types.h"
+
 namespace sdf::cluster {
 
 /** Key placement over a dynamic set of nodes. */
@@ -58,10 +60,9 @@ class HashRing
      * the next are the clockwise successors. Returns
      * min(replication, node_count()) nodes — a ring smaller than the
      * replication factor degrades to as many distinct replicas as exist
-     * (empty on an empty ring).
+     * (empty on an empty ring). At most kv::ReplicaOrder::kMaxReplicas.
      */
-    std::vector<uint32_t> ReplicasFor(uint64_t key,
-                                      uint32_t replication) const;
+    kv::ReplicaOrder ReplicasFor(uint64_t key, uint32_t replication) const;
 
     /** Primary node for @p key (ring must be non-empty). */
     uint32_t PrimaryOf(uint64_t key) const { return ReplicasFor(key, 1)[0]; }

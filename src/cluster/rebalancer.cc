@@ -81,7 +81,7 @@ Rebalancer::ComputeDelta() const
 
     std::vector<KeyMove> delta;
     for (const auto &[key, h] : holders) {
-        const std::vector<uint32_t> targets = router_.ReplicaNodes(key);
+        const kv::ReplicaOrder targets = router_.ReplicaNodes(key);
         // Prefer sourcing from a replica that keeps the key under the new
         // placement (it holds a copy the router still reads from).
         uint32_t source = h.nodes.front();

@@ -58,20 +58,38 @@ IoStack::PickCpu()
 void
 IoStack::Issue(Operation op, sim::Callback done, obs::IoSpan *span)
 {
+    Start(
+        [this, op = std::move(op), done = std::move(done), span]() mutable {
+            op([this, done = std::move(done), span]() mutable {
+                Complete(std::move(done), span);
+            });
+        },
+        span);
+}
+
+void
+IoStack::Start(sim::Callback start, obs::IoSpan *span)
+{
     ++requests_;
     cpu_time_ += spec_.issue_cost + spec_.completion_cost;
-    PickCpu().Submit(spec_.issue_cost, [this, op = std::move(op), span,
-                                        done = std::move(done)]() mutable {
+    if (span == nullptr) {
+        PickCpu().Submit(spec_.issue_cost, std::move(start));
+        return;
+    }
+    PickCpu().Submit(spec_.issue_cost, [this, span,
+                                        start = std::move(start)]() mutable {
         // Whatever the device does next is its own stage; mark the default
         // (kDevice) in case it records nothing finer.
-        if (span != nullptr) span->Enter(obs::Stage::kDevice, sim_.Now());
-        op([this, span, done = std::move(done)]() mutable {
-            if (span != nullptr) {
-                span->Enter(obs::Stage::kHostComplete, sim_.Now());
-            }
-            PickCpu().Submit(spec_.completion_cost, std::move(done));
-        });
+        span->Enter(obs::Stage::kDevice, sim_.Now());
+        start();
     });
+}
+
+void
+IoStack::Complete(sim::Callback done, obs::IoSpan *span)
+{
+    if (span != nullptr) span->Enter(obs::Stage::kHostComplete, sim_.Now());
+    PickCpu().Submit(spec_.completion_cost, std::move(done));
 }
 
 }  // namespace sdf::host

@@ -60,7 +60,7 @@ class IoStack
     IoStack &operator=(const IoStack &) = delete;
 
     /** Operation: called with the callback it must invoke when done. */
-    using Operation = std::function<void(sim::Callback done)>;
+    using Operation = sim::Func<void(sim::Callback done)>;
 
     /**
      * Run @p op through the stack; @p done fires after completion cost.
@@ -69,6 +69,15 @@ class IoStack
      * the device's completion and @p done is host_complete.
      */
     void Issue(Operation op, sim::Callback done, obs::IoSpan *span = nullptr);
+
+    /**
+     * The two halves of Issue(), for callers whose completion carries more
+     * than a bare callback (a typed device status): Start() counts the
+     * request and runs @p start once a CPU has paid the issue cost;
+     * Complete() pays the completion cost, then runs @p done.
+     */
+    void Start(sim::Callback start, obs::IoSpan *span = nullptr);
+    void Complete(sim::Callback done, obs::IoSpan *span = nullptr);
 
     /** Total CPU time consumed by stack processing. */
     TimeNs cpu_time() const { return cpu_time_; }

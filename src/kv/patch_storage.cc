@@ -10,32 +10,28 @@ namespace sdf::kv {
 namespace {
 
 /**
- * Run @p op through @p stack when present; otherwise call it directly.
- * Adapts the status-carrying PatchCallback to the IoStack's plain
- * callbacks, preserving the typed error across the stack transit.
+ * Run @p op (which takes a PatchCallback) through @p stack when present;
+ * otherwise call it directly. The completion waits in one pooled box
+ * while the stack charges its CPU stages, and the device's typed status
+ * rides the continuation from the device completion to @p done.
  */
+template <typename Op>
 void
-ThroughStack(host::IoStack *stack,
-             std::function<void(PatchCallback)> op, PatchCallback done)
+ThroughStack(host::IoStack *stack, sim::BlockPool &pool, Op op,
+             PatchCallback done)
 {
     if (!stack) {
         op(std::move(done));
         return;
     }
-    auto st = std::make_shared<core::IoStatus>(core::IoError::kWriteFailed);
-    stack->Issue(
-        [op = std::move(op), st](sim::Callback d) {
-            // PatchCallback is a copyable std::function; box the move-only
-            // stack completion so the adapter closure stays copyable.
-            auto dp = std::make_shared<sim::Callback>(std::move(d));
-            op([st, dp](core::IoStatus status) {
-                *st = status;
-                (*dp)();
+    auto box = sim::MakePooledShared<PatchCallback>(pool, std::move(done));
+    stack->Start([stack, op = std::move(op), box]() mutable {
+        op([stack, box = std::move(box)](core::IoStatus status) mutable {
+            stack->Complete([box = std::move(box), status]() {
+                if (*box) (*box)(status);
             });
-        },
-        [st, done = std::move(done)]() {
-            if (done) done(*st);
         });
+    });
 }
 
 }  // namespace
@@ -44,7 +40,7 @@ void
 BlockPatchStorage::PutPatch(uint64_t id, PatchCallback done,
                             const uint8_t *data, int priority)
 {
-    ThroughStack(stack_,
+    ThroughStack(stack_, io_pool_,
                  [this, id, data, priority](PatchCallback d) {
                      layer_.Put(id, std::move(d), data, priority);
                  },
@@ -56,7 +52,7 @@ BlockPatchStorage::GetRange(uint64_t id, uint64_t offset, uint64_t length,
                             PatchCallback done, std::vector<uint8_t> *out,
                             int priority)
 {
-    ThroughStack(stack_,
+    ThroughStack(stack_, io_pool_,
                  [this, id, offset, length, out, priority](PatchCallback d) {
                      layer_.Get(id, offset, length, std::move(d), out,
                                 priority);
@@ -94,7 +90,7 @@ SsdPatchStorage::PutPatch(uint64_t id, PatchCallback done,
     const uint64_t offset = free_extents_.front();
     free_extents_.pop_front();
     extent_of_[id] = offset;
-    ThroughStack(stack_,
+    ThroughStack(stack_, io_pool_,
                  [this, offset, data](PatchCallback d) {
                      device_.Write(offset, patch_bytes_, std::move(d), data);
                  },
@@ -113,7 +109,7 @@ SsdPatchStorage::GetRange(uint64_t id, uint64_t offset, uint64_t length,
         return;
     }
     const uint64_t base = it->second;
-    ThroughStack(stack_,
+    ThroughStack(stack_, io_pool_,
                  [this, base, offset, length, out](PatchCallback d) {
                      device_.Read(base + offset, length, std::move(d), out);
                  },

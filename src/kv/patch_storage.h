@@ -18,6 +18,7 @@
 
 #include "blocklayer/block_layer.h"
 #include "sim/callback.h"
+#include "sim/pool.h"
 #include "host/io_stack.h"
 #include "ssd/conventional_ssd.h"
 
@@ -120,6 +121,8 @@ class BlockPatchStorage : public PatchStorage
   private:
     blocklayer::BlockLayer &layer_;
     host::IoStack *stack_;
+    /** Completions parked across the I/O stack's CPU stages. */
+    sim::BlockPool io_pool_;
 };
 
 /** Historical name from when the block layer only ran on SDF. */
@@ -158,6 +161,8 @@ class SsdPatchStorage : public PatchStorage
     ssd::ConventionalSsd &device_;
     uint64_t patch_bytes_;
     host::IoStack *stack_;
+    /** Completions parked across the I/O stack's CPU stages. */
+    sim::BlockPool io_pool_;
     std::deque<uint64_t> free_extents_;  ///< Byte offsets of free extents.
     std::unordered_map<uint64_t, uint64_t> extent_of_;  ///< id -> offset.
 };

@@ -8,15 +8,11 @@
 namespace sdf::kv {
 
 ReplicationEngine::ReplicationEngine(sim::Simulator &sim,
-                                     std::vector<ReplicaEndpoint> endpoints,
-                                     Selector selector)
-    : sim_(sim), endpoints_(std::move(endpoints)), selector_(std::move(selector))
+                                     ReplicaSet &replicas)
+    : sim_(sim), replicas_(replicas)
 {
-    SDF_CHECK_MSG(!endpoints_.empty(), "need at least one replica endpoint");
-    SDF_CHECK(selector_ != nullptr);
-    for (const ReplicaEndpoint &e : endpoints_) {
-        SDF_CHECK(e.put != nullptr && e.get != nullptr);
-    }
+    SDF_CHECK_MSG(replicas_.replica_count() > 0,
+                  "need at least one replica");
 }
 
 void
@@ -24,12 +20,9 @@ ReplicationEngine::Put(uint64_t key, uint32_t value_size, PutCallback done,
                        std::shared_ptr<std::vector<uint8_t>> payload,
                        OpContext ctx)
 {
-    PutTyped(
-        key, value_size,
-        [done = std::move(done)](OpStatus s) {
-            if (done) done(s == OpStatus::kOk);
-        },
-        std::move(payload), ctx);
+    auto join = sim::MakePooledShared<PutJoin>(join_pool_);
+    join->done_bool = std::move(done);
+    StartPut(key, value_size, std::move(join), std::move(payload), ctx);
 }
 
 void
@@ -38,48 +31,42 @@ ReplicationEngine::PutTyped(uint64_t key, uint32_t value_size,
                             std::shared_ptr<std::vector<uint8_t>> payload,
                             OpContext ctx)
 {
+    auto join = sim::MakePooledShared<PutJoin>(join_pool_);
+    join->done = std::move(done);
+    StartPut(key, value_size, std::move(join), std::move(payload), ctx);
+}
+
+void
+ReplicationEngine::Finish(PutJoin &join, OpStatus s)
+{
+    if (join.done) join.done(s);
+    if (join.done_bool) join.done_bool(s == OpStatus::kOk);
+}
+
+void
+ReplicationEngine::StartPut(uint64_t key, uint32_t value_size,
+                            std::shared_ptr<PutJoin> join,
+                            std::shared_ptr<std::vector<uint8_t>> payload,
+                            OpContext ctx)
+{
     ++stats_.puts;
-    const std::vector<uint32_t> order = selector_(key);
+    const ReplicaOrder order = replicas_.Order(key);
     if (order.empty()) {
         // Every node that could hold the key is out of the membership.
         ++stats_.no_replica_rejects;
         ++stats_.put_failures;
-        sim_.Post([done = std::move(done)]() {
-            if (done) done(OpStatus::kError);
+        sim_.Post([join = std::move(join)]() {
+            Finish(*join, OpStatus::kError);
         });
         return;
     }
-    const auto r = static_cast<uint32_t>(order.size());
-    auto remaining = std::make_shared<uint32_t>(r);
-    auto successes = std::make_shared<uint32_t>(0);
-    auto worst = std::make_shared<OpStatus>(OpStatus::kOk);
-    // All replicas' acks join on the move-only `done`; park it in one
-    // shared box every branch can reach.
-    auto done_box = std::make_shared<PutStatusCallback>(std::move(done));
-    for (uint32_t i = 0; i < r; ++i) {
-        const uint32_t replica = order[i];
-        SDF_CHECK(replica < endpoints_.size());
-        endpoints_[replica].put(
-            key, value_size,
-            [this, remaining, successes, worst, done_box](OpStatus s) {
-                if (s == OpStatus::kOk) {
-                    ++*successes;
-                } else {
-                    ++stats_.put_replica_failures;
-                    *worst = WorseStatus(*worst, s);
-                }
-                if (--*remaining > 0) return;
-                if (*successes > 0) {
-                    if (*done_box) (*done_box)(OpStatus::kOk);
-                    return;
-                }
-                ++stats_.put_failures;
-                if (*done_box) {
-                    (*done_box)(*worst == OpStatus::kOk ? OpStatus::kError
-                                                        : *worst);
-                }
-            },
-            payload, ctx);
+    join->remaining = order.size();
+    for (uint32_t replica : order) {
+        SDF_CHECK(replica < replicas_.replica_count());
+        replicas_.PutTo(
+            replica, key, value_size,
+            [this, join](OpStatus s) { OnReplicaPut(*join, s); }, payload,
+            ctx);
         // Only the first replica's RPC writes the request's critical-path
         // span; a second concurrent writer would corrupt the timeline.
         // Later replicas keep the trace identity but no span.
@@ -88,12 +75,31 @@ ReplicationEngine::PutTyped(uint64_t key, uint32_t value_size,
 }
 
 void
+ReplicationEngine::OnReplicaPut(PutJoin &join, OpStatus s)
+{
+    if (s == OpStatus::kOk) {
+        ++join.successes;
+    } else {
+        ++stats_.put_replica_failures;
+        join.worst = WorseStatus(join.worst, s);
+    }
+    if (--join.remaining > 0) return;
+    if (join.successes > 0) {
+        Finish(join, OpStatus::kOk);
+        return;
+    }
+    ++stats_.put_failures;
+    Finish(join, join.worst == OpStatus::kOk ? OpStatus::kError
+                                             : join.worst);
+}
+
+void
 ReplicationEngine::Get(uint64_t key, GetCallback done, OpContext ctx)
 {
     ++stats_.gets;
-    auto order =
-        std::make_shared<const std::vector<uint32_t>>(selector_(key));
-    if (order->empty()) {
+    auto walk = sim::MakePooledShared<GetWalk>(walk_pool_);
+    walk->order = replicas_.Order(key);
+    if (walk->order.empty()) {
         ++stats_.no_replica_rejects;
         ++stats_.failed_reads;
         sim_.Post([done = std::move(done)]() {
@@ -106,8 +112,11 @@ ReplicationEngine::Get(uint64_t key, GetCallback done, OpContext ctx)
         });
         return;
     }
-    DoGet(key, std::move(done), std::move(order), 0, 0, OpStatus::kOk,
-          CurrentEpoch(), ctx);
+    walk->key = key;
+    walk->epoch = replicas_.Epoch();
+    walk->ctx = std::move(ctx);
+    walk->done = std::move(done);
+    DoGet(std::move(walk));
 }
 
 namespace {
@@ -116,93 +125,92 @@ namespace {
 OpStatus
 FailureStatus(const GetResult &res)
 {
-    if (res.ok) return OpStatus::kOk;
-    // Endpoints predating typed statuses leave status at kOk on failure.
-    return res.status == OpStatus::kOk ? OpStatus::kError : res.status;
+    return res.ok ? OpStatus::kOk : res.status;
 }
 
 }  // namespace
 
 void
-ReplicationEngine::DoGet(uint64_t key, GetCallback done,
-                         std::shared_ptr<const std::vector<uint32_t>> order,
-                         uint32_t attempt, util::TimeNs first_fail,
-                         OpStatus worst, uint64_t epoch, OpContext ctx)
+ReplicationEngine::DoGet(std::shared_ptr<GetWalk> walk)
 {
-    if (attempt == order->size()) {
+    GetWalk &w = *walk;
+    if (w.attempt == w.order.size()) {
         // Exhausted. All clean misses -> an authoritative miss; any
         // storage failure along the way -> a failed read.
         GetResult res;
         res.found = false;
-        res.ok = worst == OpStatus::kOk;
-        res.status = worst;
+        res.ok = w.worst == OpStatus::kOk;
+        res.status = w.worst;
         if (!res.ok) ++stats_.failed_reads;
-        if (done) done(res);
+        if (w.done) w.done(res);
         return;
     }
-    const uint32_t replica = (*order)[attempt];
-    SDF_CHECK(replica < endpoints_.size());
-    endpoints_[replica].get(
-        key,
-        [this, key, done = std::move(done), order, attempt, first_fail,
-         worst, epoch, ctx](const GetResult &res) mutable {
-            if (!res.ok || !res.found) {
-                const util::TimeNs t0 =
-                    attempt == 0 ? sim_.Now() : first_fail;
-                const OpStatus next_worst =
-                    WorseStatus(worst, FailureStatus(res));
-                // Membership moved while we were waiting (a node died or
-                // rejoined): the replica list is stale — restart against
-                // fresh placement. Bounded by the number of epoch bumps.
-                if (const uint64_t now_epoch = CurrentEpoch();
-                    now_epoch != epoch) {
-                    ++stats_.epoch_restarts;
-                    auto fresh = std::make_shared<
-                        const std::vector<uint32_t>>(selector_(key));
-                    if (fresh->empty()) {
-                        ++stats_.no_replica_rejects;
-                        ++stats_.failed_reads;
-                        if (done) {
-                            GetResult fail;
-                            fail.ok = false;
-                            fail.status = WorseStatus(next_worst,
-                                                      OpStatus::kError);
-                            done(fail);
-                        }
-                        return;
-                    }
-                    DoGet(key, std::move(done), std::move(fresh), 0, t0,
-                          next_worst, now_epoch, ctx);
-                    return;
+    const uint32_t replica = w.order[w.attempt];
+    SDF_CHECK(replica < replicas_.replica_count());
+    replicas_.GetFrom(
+        replica, w.key,
+        [this, walk = std::move(walk)](const GetResult &res) mutable {
+            OnReplicaGet(std::move(walk), res);
+        },
+        w.ctx);
+}
+
+void
+ReplicationEngine::OnReplicaGet(std::shared_ptr<GetWalk> walk,
+                                const GetResult &res)
+{
+    GetWalk &w = *walk;
+    if (!res.ok || !res.found) {
+        if (w.attempt == 0) w.first_fail = sim_.Now();
+        w.worst = WorseStatus(w.worst, FailureStatus(res));
+        // Membership moved while we were waiting (a node died or
+        // rejoined): the replica list is stale — restart against fresh
+        // placement. Bounded by the number of epoch bumps.
+        if (const uint64_t now_epoch = replicas_.Epoch();
+            now_epoch != w.epoch) {
+            ++stats_.epoch_restarts;
+            w.order = replicas_.Order(w.key);
+            if (w.order.empty()) {
+                ++stats_.no_replica_rejects;
+                ++stats_.failed_reads;
+                if (w.done) {
+                    GetResult fail;
+                    fail.ok = false;
+                    fail.status = WorseStatus(w.worst, OpStatus::kError);
+                    w.done(fail);
                 }
-                // Storage failure — or a miss on this replica, which may
-                // just have lost the put that a later replica acked
-                // (degraded-mode write). Either way, ask the next one.
-                DoGet(key, std::move(done), std::move(order), attempt + 1,
-                      t0, next_worst, epoch, ctx);
                 return;
             }
-            if (attempt > 0) {
-                ++stats_.degraded_reads;
-                recovery_latencies_.Record(sim_.Now() - first_fail);
-                // Read-repair: restore redundancy on the replicas that
-                // failed or missed ahead of this one.
-                Repair(key, res, *order, attempt);
-            }
-            if (done) done(res);
-        },
-        ctx);
+            w.attempt = 0;
+            w.epoch = now_epoch;
+            DoGet(std::move(walk));
+            return;
+        }
+        // Storage failure — or a miss on this replica, which may just have
+        // lost the put that a later replica acked (degraded-mode write).
+        // Either way, ask the next one.
+        ++w.attempt;
+        DoGet(std::move(walk));
+        return;
+    }
+    if (w.attempt > 0) {
+        ++stats_.degraded_reads;
+        recovery_latencies_.Record(sim_.Now() - w.first_fail);
+        // Read-repair: restore redundancy on the replicas that failed or
+        // missed ahead of this one.
+        Repair(w.key, res, w.order, w.attempt);
+    }
+    if (w.done) w.done(res);
 }
 
 void
 ReplicationEngine::Repair(uint64_t key, const GetResult &good,
-                          const std::vector<uint32_t> &order,
-                          uint32_t failed_count)
+                          const ReplicaOrder &order, uint32_t failed_count)
 {
     for (uint32_t i = 0; i < failed_count; ++i) {
         ++stats_.re_replications;
-        endpoints_[order[i]].put(
-            key, good.value_size,
+        replicas_.PutTo(
+            order[i], key, good.value_size,
             [this](OpStatus s) {
                 if (s != OpStatus::kOk) ++stats_.re_replication_failures;
             },
@@ -210,51 +218,46 @@ ReplicationEngine::Repair(uint64_t key, const GetResult &good,
     }
 }
 
-namespace {
-
-/** Every store holds every key; primary rotates by key hash. */
-std::vector<ReplicaEndpoint>
-StoreEndpoints(const std::vector<Store *> &replicas)
+ReplicatedKv::ReplicatedKv(sim::Simulator &sim, std::vector<Store *> replicas)
+    : stores_(std::move(replicas)), engine_(sim, *this)
 {
-    SDF_CHECK_MSG(!replicas.empty(), "need at least one replica");
-    std::vector<ReplicaEndpoint> endpoints;
-    endpoints.reserve(replicas.size());
-    for (Store *s : replicas) {
-        SDF_CHECK(s != nullptr);
-        ReplicaEndpoint e;
-        e.put = [s](uint64_t key, uint32_t value_size,
-                    PutStatusCallback done,
-                    std::shared_ptr<std::vector<uint8_t>> payload,
-                    OpContext /*ctx*/) {
-            // Local stores know nothing of deadlines; map bool -> typed.
-            s->Put(
-                key, value_size,
-                [done = std::move(done)](bool ok) {
-                    if (done) done(ok ? OpStatus::kOk : OpStatus::kError);
-                },
-                std::move(payload));
-        };
-        e.get = [s](uint64_t key, GetCallback done, OpContext /*ctx*/) {
-            s->Get(key, std::move(done));
-        };
-        endpoints.push_back(std::move(e));
-    }
-    return endpoints;
+    SDF_CHECK_MSG(!stores_.empty(), "need at least one replica");
+    SDF_CHECK_MSG(stores_.size() <= ReplicaOrder::kMaxReplicas,
+                  "too many replicas");
+    for (Store *s : stores_) SDF_CHECK(s != nullptr);
 }
 
-}  // namespace
-
-ReplicatedKv::ReplicatedKv(sim::Simulator &sim, std::vector<Store *> replicas)
-    : replica_count_(static_cast<uint32_t>(replicas.size())),
-      engine_(sim, StoreEndpoints(replicas),
-              [n = replicas.size()](uint64_t key) {
-                  std::vector<uint32_t> order(n);
-                  for (size_t i = 0; i < n; ++i) {
-                      order[i] = static_cast<uint32_t>((key + i) % n);
-                  }
-                  return order;
-              })
+ReplicaOrder
+ReplicatedKv::Order(uint64_t key)
 {
+    const size_t n = stores_.size();
+    ReplicaOrder order;
+    for (size_t i = 0; i < n; ++i) {
+        order.push_back(static_cast<uint32_t>((key + i) % n));
+    }
+    return order;
+}
+
+void
+ReplicatedKv::PutTo(uint32_t replica, uint64_t key, uint32_t value_size,
+                  PutStatusCallback done,
+                  std::shared_ptr<std::vector<uint8_t>> payload,
+                  const OpContext & /*ctx*/)
+{
+    // Local stores know nothing of deadlines; map bool -> typed.
+    stores_[replica]->Put(
+        key, value_size,
+        [done = std::move(done)](bool ok) {
+            if (done) done(ok ? OpStatus::kOk : OpStatus::kError);
+        },
+        std::move(payload));
+}
+
+void
+ReplicatedKv::GetFrom(uint32_t replica, uint64_t key, GetCallback done,
+                  const OpContext & /*ctx*/)
+{
+    stores_[replica]->Get(key, std::move(done));
 }
 
 }  // namespace sdf::kv

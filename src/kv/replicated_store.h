@@ -8,9 +8,9 @@
  * is the distributed system's job.
  *
  * The mechanism lives in ReplicationEngine and is deliberately abstract
- * over *where* replicas are: an endpoint is just a put/get function pair,
- * and a selector maps a key to the ordered endpoints holding it. The same
- * engine therefore serves two deployments:
+ * over *where* replicas are: a ReplicaSet maps a key to the ordered
+ * replicas holding it and puts/gets into one replica. The same engine
+ * therefore serves two deployments:
  *
  *  - ReplicatedKv: every key on every one of R local Store stacks (the
  *    single-box fault-tolerance model used by the fault campaign);
@@ -33,11 +33,11 @@
 #define SDF_KV_REPLICATED_STORE_H
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "kv/store.h"
+#include "sim/pool.h"
 #include "sim/simulator.h"
 #include "util/latency_recorder.h"
 
@@ -61,56 +61,53 @@ struct ReplicatedKvStats
 };
 
 /**
- * How the engine reaches one replica: a direct Store call, an RPC into a
- * cluster node, or anything else with put/get semantics. `put` must ack
- * true only once the value is durable on that replica; `get` must report
+ * Where a ReplicationEngine's replicas live and how it reaches them:
+ * placement (which replicas hold a key, in failover order) plus a put
+ * and a get into one replica — a direct Store call, an RPC into a
+ * cluster node, or anything else with put/get semantics. `PutTo` must ack
+ * kOk only once the value is durable on that replica; `GetFrom` must report
  * res.ok == false on storage-level failure so the engine can fail over.
  */
-struct ReplicaEndpoint
+class ReplicaSet
 {
-    std::function<void(uint64_t key, uint32_t value_size,
-                       PutStatusCallback done,
-                       std::shared_ptr<std::vector<uint8_t>> payload,
-                       OpContext ctx)>
-        put;
-    std::function<void(uint64_t key, GetCallback done, OpContext ctx)> get;
+  public:
+    virtual ~ReplicaSet() = default;
+
+    /** Number of replicas the engine can address. */
+    virtual uint32_t replica_count() const = 0;
+
+    /**
+     * Ordered replicas holding @p key: first is the primary, the rest are
+     * failover targets; Put fans out to all of them. Deterministic and in
+     * range; empty when no replica is reachable.
+     */
+    virtual ReplicaOrder Order(uint64_t key) = 0;
+
+    /**
+     * Membership epoch (cluster use). A Get snapshots it up front; when a
+     * replica attempt fails and the epoch has moved meanwhile — the ring
+     * changed under the op — the get restarts against fresh placement
+     * instead of walking a stale replica list. Static placement keeps 0.
+     */
+    virtual uint64_t Epoch() const { return 0; }
+
+    virtual void PutTo(uint32_t replica, uint64_t key, uint32_t value_size,
+                     PutStatusCallback done,
+                     std::shared_ptr<std::vector<uint8_t>> payload,
+                     const OpContext &ctx) = 0;
+    virtual void GetFrom(uint32_t replica, uint64_t key, GetCallback done,
+                     const OpContext &ctx) = 0;
 };
 
-/** Replica placement/failover mechanics over abstract endpoints. */
+/** Replica placement/failover mechanics over an abstract ReplicaSet. */
 class ReplicationEngine
 {
   public:
-    /**
-     * Ordered endpoint indices holding @p key: first is the primary, the
-     * rest are failover targets; Put fans out to all of them. Must be
-     * deterministic, non-empty, and in range.
-     */
-    using Selector = std::function<std::vector<uint32_t>(uint64_t key)>;
-
-    ReplicationEngine(sim::Simulator &sim,
-                      std::vector<ReplicaEndpoint> endpoints,
-                      Selector selector);
-
-    /**
-     * Install a membership-epoch source (cluster use). A Get snapshots
-     * the epoch up front; when a replica attempt fails and the epoch has
-     * moved meanwhile — the ring changed under the op — the get restarts
-     * against fresh placement instead of walking a stale replica list.
-     * Without a provider, placement is assumed static.
-     */
-    void
-    set_epoch_provider(std::function<uint64_t()> provider)
-    {
-        epoch_provider_ = std::move(provider);
-    }
+    /** @param replicas Must outlive the engine. */
+    ReplicationEngine(sim::Simulator &sim, ReplicaSet &replicas);
 
     ReplicationEngine(const ReplicationEngine &) = delete;
     ReplicationEngine &operator=(const ReplicationEngine &) = delete;
-
-    uint32_t endpoint_count() const
-    {
-        return static_cast<uint32_t>(endpoints_.size());
-    }
 
     /**
      * Store @p key on every selected replica. @p done receives true when
@@ -154,21 +151,45 @@ class ReplicationEngine
     }
 
   private:
-    void DoGet(uint64_t key, GetCallback done,
-               std::shared_ptr<const std::vector<uint32_t>> order,
-               uint32_t attempt, util::TimeNs first_fail, OpStatus worst,
-               uint64_t epoch, OpContext ctx);
-    void Repair(uint64_t key, const GetResult &good,
-                const std::vector<uint32_t> &order, uint32_t failed_count);
-    uint64_t CurrentEpoch() const
+    /** One Put's fan-out: the replicas' acks join here. */
+    struct PutJoin
     {
-        return epoch_provider_ ? epoch_provider_() : 0;
-    }
+        uint32_t remaining = 0;
+        uint32_t successes = 0;
+        OpStatus worst = OpStatus::kOk;
+        PutStatusCallback done;
+        PutCallback done_bool;  ///< Put()'s untyped ack (instead of done).
+    };
+
+    /** One Get's walk over its replica order. */
+    struct GetWalk
+    {
+        uint64_t key = 0;
+        ReplicaOrder order;
+        uint32_t attempt = 0;        ///< Index into order.
+        util::TimeNs first_fail = 0;
+        OpStatus worst = OpStatus::kOk;
+        uint64_t epoch = 0;
+        OpContext ctx;
+        GetCallback done;
+    };
+
+    void StartPut(uint64_t key, uint32_t value_size,
+                  std::shared_ptr<PutJoin> join,
+                  std::shared_ptr<std::vector<uint8_t>> payload,
+                  OpContext ctx);
+    void OnReplicaPut(PutJoin &join, OpStatus s);
+    static void Finish(PutJoin &join, OpStatus s);
+    void DoGet(std::shared_ptr<GetWalk> walk);
+    void OnReplicaGet(std::shared_ptr<GetWalk> walk, const GetResult &res);
+    void Repair(uint64_t key, const GetResult &good,
+                const ReplicaOrder &order, uint32_t failed_count);
 
     sim::Simulator &sim_;
-    std::vector<ReplicaEndpoint> endpoints_;
-    Selector selector_;
-    std::function<uint64_t()> epoch_provider_;
+    ReplicaSet &replicas_;
+    /** Per-op records (see sim::BlockPool for their teardown safety). */
+    sim::BlockPool join_pool_;
+    sim::BlockPool walk_pool_;
     ReplicatedKvStats stats_;
     util::LatencyRecorder recovery_latencies_;
 };
@@ -178,7 +199,7 @@ class ReplicationEngine
  * every store, primary chosen by key hash. Thin policy wrapper over
  * ReplicationEngine.
  */
-class ReplicatedKv
+class ReplicatedKv : private ReplicaSet
 {
   public:
     /** @param replicas One Store per failure domain; all must outlive us. */
@@ -187,12 +208,15 @@ class ReplicatedKv
     ReplicatedKv(const ReplicatedKv &) = delete;
     ReplicatedKv &operator=(const ReplicatedKv &) = delete;
 
-    uint32_t replica_count() const { return replica_count_; }
+    uint32_t replica_count() const override
+    {
+        return static_cast<uint32_t>(stores_.size());
+    }
 
     /** Primary replica index for @p key. */
     uint32_t PrimaryOf(uint64_t key) const
     {
-        return static_cast<uint32_t>(key % replica_count_);
+        return static_cast<uint32_t>(key % stores_.size());
     }
 
     /** See ReplicationEngine::Put. */
@@ -217,7 +241,16 @@ class ReplicatedKv
     }
 
   private:
-    uint32_t replica_count_;
+    // ReplicaSet: every store holds every key; primary rotates by key.
+    ReplicaOrder Order(uint64_t key) override;
+    void PutTo(uint32_t replica, uint64_t key, uint32_t value_size,
+             PutStatusCallback done,
+             std::shared_ptr<std::vector<uint8_t>> payload,
+             const OpContext &ctx) override;
+    void GetFrom(uint32_t replica, uint64_t key, GetCallback done,
+             const OpContext &ctx) override;
+
+    std::vector<Store *> stores_;
     ReplicationEngine engine_;
 };
 

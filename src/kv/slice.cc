@@ -183,7 +183,7 @@ Slice::ReadValue(uint64_t key, GetCallback done)
         });
         return;
     }
-    DoStorageGet(key, std::move(done), 3);
+    DoStorageGet(key, idx->second, std::move(done), 3);
 }
 
 Slice::~Slice()
@@ -422,11 +422,11 @@ Slice::Get(uint64_t key, GetCallback done)
         });
         return;
     }
-    DoStorageGet(key, std::move(done), 3);
+    DoStorageGet(key, idx->second, std::move(done), 3);
 }
 
 void
-Slice::DoStorageGet(uint64_t key, GetCallback done, int attempts)
+Slice::RetryStorageGet(uint64_t key, GetCallback done, int attempts)
 {
     auto it = index_.find(key);
     if (it == index_.end() || it->second.tombstone) {
@@ -436,7 +436,13 @@ Slice::DoStorageGet(uint64_t key, GetCallback done, int attempts)
         });
         return;
     }
-    const IndexEntry loc = it->second;
+    DoStorageGet(key, it->second, std::move(done), attempts);
+}
+
+void
+Slice::DoStorageGet(uint64_t key, const IndexEntry &loc, GetCallback done,
+                    int attempts)
+{
     const uint64_t align = storage_.alignment();
     const uint64_t start = loc.offset / align * align;
     uint64_t end = loc.offset + loc.value_size;
@@ -456,9 +462,12 @@ Slice::DoStorageGet(uint64_t key, GetCallback done, int attempts)
                 // through the (updated) index.
                 ++stats_.get_retries;
                 if (attempts > 1) {
-                    DoStorageGet(key, std::move(done), attempts - 1);
+                    RetryStorageGet(key, std::move(done), attempts - 1);
                 } else {
-                    done(GetResult{false, false, 0, nullptr});
+                    GetResult failed;
+                    failed.ok = false;
+                    failed.status = OpStatus::kError;
+                    done(failed);
                 }
                 return;
             }

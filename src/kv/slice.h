@@ -202,7 +202,12 @@ class Slice
     /** Reset the compaction job state (after finish or abort). */
     void EndCompaction();
     void UpdateIndex(const PatchMeta &meta);
-    void DoStorageGet(uint64_t key, GetCallback done, int attempts);
+    /** Read the value indexed at @p loc from storage; a failed read
+     *  retries through the (possibly updated) index. */
+    void DoStorageGet(uint64_t key, const IndexEntry &loc, GetCallback done,
+                      int attempts);
+    /** Look @p key up again and read it (a retry after a failed read). */
+    void RetryStorageGet(uint64_t key, GetCallback done, int attempts);
 
     sim::Simulator &sim_;
     PatchStorage &storage_;

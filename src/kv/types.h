@@ -19,6 +19,7 @@
 #include "obs/span.h"
 #include "sim/callback.h"
 #include "obs/trace_context.h"
+#include "util/assert.h"
 
 namespace sdf::kv {
 
@@ -109,6 +110,42 @@ using GetCallback = sim::Func<void(const GetResult &)>;
 using PutCallback = sim::Func<void(bool ok)>;
 /** Typed put completion for admission-aware paths. */
 using PutStatusCallback = sim::Func<void(OpStatus)>;
+
+/**
+ * Ordered replica indices for one key, primary first, stored inline: a
+ * placement lookup on the per-op path costs no heap allocation. Holds at
+ * most kMaxReplicas entries; deployments validate R against it.
+ */
+class ReplicaOrder
+{
+  public:
+    static constexpr uint32_t kMaxReplicas = 8;
+
+    void
+    push_back(uint32_t id)
+    {
+        SDF_CHECK_MSG(size_ < kMaxReplicas, "replica order overflow");
+        ids_[size_++] = id;
+    }
+
+    uint32_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    uint32_t front() const { return ids_[0]; }
+    uint32_t back() const { return ids_[size_ - 1]; }
+    uint32_t operator[](size_t i) const { return ids_[i]; }
+    const uint32_t *begin() const { return ids_; }
+    const uint32_t *end() const { return ids_ + size_; }
+
+    friend bool
+    operator==(const ReplicaOrder &a, const ReplicaOrder &b)
+    {
+        return std::equal(a.begin(), a.end(), b.begin(), b.end());
+    }
+
+  private:
+    uint32_t size_ = 0;
+    uint32_t ids_[kMaxReplicas] = {};
+};
 
 /** One record returned by a range scan: a live key and its value size. */
 struct ScanEntry

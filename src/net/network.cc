@@ -143,207 +143,194 @@ Network::Bulk(uint32_t client, uint64_t bytes, sim::Callback at_server,
 }
 
 void
-Network::Rpc(uint32_t client, uint64_t request_bytes, Handler handler,
-             sim::Callback delivered, std::shared_ptr<obs::IoSpan> span)
+Network::TypedReply::operator()(uint64_t bytes, RpcCode code) const
+{
+    SDF_CHECK_MSG(attempt_ != nullptr, "replying through an empty handle");
+    attempt_->call->net->Respond(attempt_, bytes, code);
+}
+
+std::shared_ptr<Network::Call>
+Network::NewCall(uint32_t client, uint64_t request_bytes, TimeNs deadline,
+                 bool retry, Handler handler, Done done)
 {
     SDF_CHECK(client < client_nics_.size());
-    ++messages_;
+    auto call = sim::MakePooledShared<Call>(call_pool_);
+    call->net = this;
+    call->handler = std::move(handler);
+    call->done = std::move(done);
+    call->deadline = deadline;
+    call->request_bytes = request_bytes;
+    call->client = client;
+    call->retry = retry;
+    return call;
+}
 
-    // The reply channel handed to the handler is a copyable std::function,
-    // so the move-only delivered callback rides in a pooled shared box.
-    auto boxed = sim::MakePooledShared<sim::Callback>(delivered_pool_,
-                                                      std::move(delivered));
-
-    // Request: client NIC -> wire -> server NIC -> server CPU dispatch.
-    const TimeNs req_wire =
-        util::TransferTimeNs(request_bytes, spec_.client_nic_bytes_per_sec);
-    client_nics_[client]->Submit(req_wire, nullptr);
-    const TimeNs at_server = sim_.Now() + req_wire + spec_.one_way_delay;
-    // The arrival time is known now; the span clamps it monotonic.
-    if (span) span->Enter(obs::Stage::kAdmission, at_server);
-
-    sim_.ScheduleAt(at_server, [this, client, handler = std::move(handler),
-                                boxed = std::move(boxed),
-                                span = std::move(span)]() mutable {
-        server_cpu_.Submit(Scaled(spec_.server_per_message),
-                           [this, client,
-                            handler = std::move(handler),
-                            boxed = std::move(boxed),
-                            span = std::move(span)]() mutable {
-            if (span) span->Enter(obs::Stage::kServerHandle, sim_.Now());
-            handler([this, client, boxed,
-                     span = std::move(span)](
-                        uint64_t response_bytes) mutable {
-                if (span) span->Enter(obs::Stage::kRpcWire, sim_.Now());
-                // Response: payload handled on the connection's serving
-                // worker, then both NICs.
-                const auto payload_cpu = Scaled(
-                    spec_.server_per_message +
-                    static_cast<TimeNs>(spec_.worker_per_byte_ns *
-                                        static_cast<double>(response_bytes)));
-                workers_[client]->Submit(
-                    payload_cpu,
-                    [this, client, response_bytes,
-                     boxed = std::move(boxed)]() mutable {
-                        bytes_to_clients_ += response_bytes;
-                        const TimeNs srv_wire = util::TransferTimeNs(
-                            response_bytes, spec_.server_nic_bytes_per_sec);
-                        const util::TimeNs srv_done = server_nic_.Submit(
-                            srv_wire, nullptr);
-                        const TimeNs cli_wire = util::TransferTimeNs(
-                            response_bytes, spec_.client_nic_bytes_per_sec);
-                        client_nics_[client]->SubmitAfter(
-                            srv_done + spec_.one_way_delay, cli_wire,
-                            [boxed = std::move(boxed)]() { (*boxed)(); });
-                    });
-            });
-        });
-    });
+void
+Network::Rpc(uint32_t client, uint64_t request_bytes, Handler handler,
+             sim::Func<void()> delivered, std::shared_ptr<obs::IoSpan> span)
+{
+    StartAttempt(NewCall(client, request_bytes, 0, /*retry=*/false,
+                         std::move(handler),
+                         [delivered = std::move(delivered)](RpcCode) {
+                             if (delivered) delivered();
+                         }),
+                 0, std::move(span));
 }
 
 void
 Network::RpcWithRetry(uint32_t client, uint64_t request_bytes,
                       Handler handler, sim::Func<void(bool ok)> done)
 {
-    AttemptRpc(client, request_bytes, std::move(handler),
-               sim::MakePooledShared<sim::Func<void(bool)>>(
-                   done_bool_pool_, std::move(done)),
-               0);
-}
-
-void
-Network::AttemptRpc(uint32_t client, uint64_t request_bytes, Handler handler,
-                    std::shared_ptr<sim::Func<void(bool)>> done,
-                    uint32_t attempt)
-{
-    // Both the response and the timeout race on this record; whichever
-    // fires second becomes a no-op, so no event cancellation is needed
-    // and the schedule stays deterministic.
-    auto settled = sim::MakePooledShared<Settle>(settle_pool_);
-    Rpc(client, request_bytes, handler, [this, settled, done]() {
-        if (settled->settled) {
-            ++rpc_stats_.late_responses;
-            return;
-        }
-        settled->settled = true;
-        if (*done) (*done)(true);
-    });
-    if (spec_.rpc_timeout == 0) return;
-
-    sim_.Schedule(spec_.rpc_timeout, [this, client, request_bytes,
-                                      handler = std::move(handler), done,
-                                      settled, attempt]() mutable {
-        if (settled->settled) return;
-        settled->settled = true;
-        ++rpc_stats_.timeouts;
-        if (attempt >= spec_.rpc_max_retries) {
-            ++rpc_stats_.failures;
-            if (*done) (*done)(false);
-            return;
-        }
-        ++rpc_stats_.retries;
-        const TimeNs backoff = spec_.rpc_backoff_base << attempt;
-        sim_.Schedule(backoff, [this, client, request_bytes,
-                                handler = std::move(handler), done,
-                                attempt]() mutable {
-            AttemptRpc(client, request_bytes, std::move(handler),
-                       std::move(done), attempt + 1);
-        });
-    });
+    StartAttempt(NewCall(client, request_bytes, 0, /*retry=*/true,
+                         std::move(handler),
+                         [done = std::move(done)](RpcCode code) {
+                             if (done) done(code == RpcCode::kOk);
+                         }),
+                 0, nullptr);
 }
 
 void
 Network::RpcTyped(uint32_t client, uint64_t request_bytes, TimeNs deadline,
-                  TypedHandler handler, sim::Func<void(RpcCode)> done,
+                  Handler handler, Done done,
                   std::shared_ptr<obs::IoSpan> span)
 {
-    AttemptTyped(client, request_bytes, deadline, std::move(handler),
-                 sim::MakePooledShared<sim::Func<void(RpcCode)>>(
-                     done_typed_pool_, std::move(done)),
+    StartAttempt(NewCall(client, request_bytes, deadline, /*retry=*/true,
+                         std::move(handler), std::move(done)),
                  0, std::move(span));
 }
 
 void
-Network::AttemptTyped(uint32_t client, uint64_t request_bytes,
-                      TimeNs deadline, TypedHandler handler,
-                      std::shared_ptr<sim::Func<void(RpcCode)>> done,
-                      uint32_t attempt, std::shared_ptr<obs::IoSpan> span)
+Network::StartAttempt(std::shared_ptr<Call> call, uint32_t index,
+                      std::shared_ptr<obs::IoSpan> span)
 {
+    const TimeNs deadline = call->deadline;
     // A request already past its deadline never hits the wire.
     if (deadline != 0 && sim_.Now() >= deadline) {
         ++rpc_stats_.failures;
-        sim_.Post([done]() {
-            if (*done) (*done)(RpcCode::kDeadlineExceeded);
+        sim_.Post([call = std::move(call)]() {
+            if (call->done) call->done(RpcCode::kDeadlineExceeded);
         });
         return;
     }
 
-    // Same settled-record race as AttemptRpc; the record also carries the
-    // server's typed disposition back past the size-only reply path.
-    auto settled = sim::MakePooledShared<Settle>(settle_pool_);
-    Handler plain = [this, deadline, handler,
-                     settled](std::function<void(uint64_t)> reply) {
-        if (deadline != 0 && sim_.Now() > deadline) {
-            // Expired in flight or in the server queue: nack without
-            // touching the handler — the work would be wasted anyway.
-            ++rpc_stats_.deadline_drops;
-            settled->code = RpcCode::kDeadlineExceeded;
-            reply(kDropReplyBytes);
-            return;
-        }
-        handler(deadline,
-                [settled, reply = std::move(reply)](uint64_t bytes,
-                                                    RpcCode c) mutable {
-                    settled->code = c;
-                    reply(bytes);
-                });
-    };
-    Rpc(client, request_bytes, std::move(plain),
-        [this, settled, done]() {
-            if (settled->settled) {
-                ++rpc_stats_.late_responses;
-                return;
-            }
-            settled->settled = true;
-            if (settled->code == RpcCode::kOverloaded)
-                ++rpc_stats_.overload_replies;
-            if (*done) (*done)(settled->code);
-        },
-        std::move(span));
+    auto a = sim::MakePooledShared<Attempt>(attempt_pool_);
+    a->call = std::move(call);
+    a->span = std::move(span);
+    a->index = index;
+    const Call &c = *a->call;
+
+    // Request: client NIC -> wire -> server NIC -> server CPU dispatch.
+    ++messages_;
+    const TimeNs req_wire = util::TransferTimeNs(
+        c.request_bytes, spec_.client_nic_bytes_per_sec);
+    client_nics_[c.client]->Submit(req_wire, nullptr);
+    const TimeNs at_server = sim_.Now() + req_wire + spec_.one_way_delay;
+    // The arrival time is known now; the span clamps it monotonic.
+    if (a->span) a->span->Enter(obs::Stage::kAdmission, at_server);
+    sim_.ScheduleAt(at_server, [this, a]() mutable {
+        server_cpu_.Submit(Scaled(spec_.server_per_message),
+                           [this, a = std::move(a)]() mutable {
+                               Serve(std::move(a));
+                           });
+    });
+    if (!c.retry) return;
 
     // Per-attempt timer: the usual RPC timeout, clipped to the deadline.
+    // Cancelled when the attempt settles, so only a real timeout fires.
     TimeNs wait = spec_.rpc_timeout;
     if (deadline != 0) {
         const TimeNs remaining = deadline - sim_.Now();
         if (wait == 0 || remaining < wait) wait = remaining;
     }
     if (wait == 0) return;
+    Attempt *raw = a.get();
+    raw->timer = sim_.Schedule(
+        wait, [this, a = std::move(a)]() { TimedOut(a); });
+}
 
-    sim_.Schedule(wait, [this, client, request_bytes, deadline,
-                         handler = std::move(handler), done, settled,
-                         attempt]() mutable {
-        if (settled->settled) return;
-        settled->settled = true;
-        ++rpc_stats_.timeouts;
-        const TimeNs backoff = spec_.rpc_backoff_base << attempt;
-        const bool budget_left = attempt < spec_.rpc_max_retries;
-        const bool deadline_left =
-            deadline == 0 || sim_.Now() + backoff < deadline;
-        if (!budget_left || !deadline_left) {
-            ++rpc_stats_.failures;
-            if (*done) (*done)(RpcCode::kDeadlineExceeded);
-            return;
-        }
-        ++rpc_stats_.retries;
-        sim_.Schedule(backoff, [this, client, request_bytes, deadline,
-                                handler = std::move(handler), done,
-                                attempt]() mutable {
-            // Retries carry no span: the first attempt owns the timeline
-            // (its server side may still be running), and a settle's
-            // Finish() makes any late milestone a no-op.
-            AttemptTyped(client, request_bytes, deadline, std::move(handler),
-                         std::move(done), attempt + 1, nullptr);
-        });
+void
+Network::Serve(std::shared_ptr<Attempt> a)
+{
+    if (a->span) a->span->Enter(obs::Stage::kServerHandle, sim_.Now());
+    const Call &c = *a->call;
+    if (c.deadline != 0 && sim_.Now() > c.deadline) {
+        // Expired in flight or in the server queue: nack without
+        // touching the handler — the work would be wasted anyway.
+        ++rpc_stats_.deadline_drops;
+        Respond(a, kDropReplyBytes, RpcCode::kDeadlineExceeded);
+        return;
+    }
+    c.handler(TypedReply(std::move(a)));
+}
+
+void
+Network::Respond(const std::shared_ptr<Attempt> &a, uint64_t bytes,
+                 RpcCode code)
+{
+    if (a->replied) return;  // Another copy of the handle already replied.
+    a->replied = true;
+    a->code = code;
+    if (a->span) a->span->Enter(obs::Stage::kRpcWire, sim_.Now());
+    // Response: payload handled on the connection's serving worker, then
+    // both NICs.
+    const uint32_t client = a->call->client;
+    const auto payload_cpu =
+        Scaled(spec_.server_per_message +
+               static_cast<TimeNs>(spec_.worker_per_byte_ns *
+                                   static_cast<double>(bytes)));
+    workers_[client]->Submit(payload_cpu, [this, a, client, bytes]() mutable {
+        bytes_to_clients_ += bytes;
+        const TimeNs srv_wire =
+            util::TransferTimeNs(bytes, spec_.server_nic_bytes_per_sec);
+        const TimeNs srv_done = server_nic_.Submit(srv_wire, nullptr);
+        const TimeNs cli_wire =
+            util::TransferTimeNs(bytes, spec_.client_nic_bytes_per_sec);
+        client_nics_[client]->SubmitAfter(
+            srv_done + spec_.one_way_delay, cli_wire,
+            [this, a = std::move(a)]() { Deliver(a); });
+    });
+}
+
+void
+Network::Deliver(const std::shared_ptr<Attempt> &a)
+{
+    if (a->settled) {
+        ++rpc_stats_.late_responses;
+        return;
+    }
+    a->settled = true;
+    if (a->timer != sim::kInvalidEvent) {
+        sim_.Cancel(a->timer);
+        a->timer = sim::kInvalidEvent;
+    }
+    if (a->code == RpcCode::kOverloaded) ++rpc_stats_.overload_replies;
+    const Call &c = *a->call;
+    if (c.done) c.done(a->code);
+}
+
+void
+Network::TimedOut(const std::shared_ptr<Attempt> &a)
+{
+    a->timer = sim::kInvalidEvent;
+    if (a->settled) return;
+    a->settled = true;
+    ++rpc_stats_.timeouts;
+    const Call &c = *a->call;
+    const TimeNs backoff = spec_.rpc_backoff_base << a->index;
+    const bool budget_left = a->index < spec_.rpc_max_retries;
+    const bool deadline_left =
+        c.deadline == 0 || sim_.Now() + backoff < c.deadline;
+    if (!budget_left || !deadline_left) {
+        ++rpc_stats_.failures;
+        if (c.done) c.done(RpcCode::kDeadlineExceeded);
+        return;
+    }
+    ++rpc_stats_.retries;
+    // Retries carry no span: the first attempt owns the timeline (its
+    // server side may still be running), and a settle's Finish() makes
+    // any late milestone a no-op.
+    sim_.Schedule(backoff, [this, call = a->call, next = a->index + 1]() {
+        StartAttempt(call, next, nullptr);
     });
 }
 

@@ -12,9 +12,9 @@
 #define SDF_NET_NETWORK_H
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/span.h"
@@ -87,23 +87,59 @@ const char *RpcCodeName(RpcCode code);
 /**
  * Request/response transport between N clients and one storage server.
  *
- * The server-side handler receives a reply function; invoking it with the
- * response payload size sends the response back to the client.
+ * Every RPC is one pooled call record (handler, completion, deadline,
+ * request size, client connection) plus one pooled record per attempt
+ * (the settle flag, the server's typed disposition, the timeout timer and
+ * the critical-path span). The server-side handler receives a copyable
+ * TypedReply handle on its attempt; invoking it sends the response back
+ * to the client. An attempt's timeout timer is cancelled the moment the
+ * attempt settles, so a served RPC leaves no event behind.
+ *
+ * Every pending event that touches a call holds its record through a
+ * pooled shared_ptr, so tearing down a Network (or its Simulator) with
+ * calls in flight releases every record with the last event that holds
+ * it.
  */
 class Network
 {
-  public:
-    /** Handler: process a request, then call reply(response_bytes). */
-    using Handler = std::function<void(std::function<void(uint64_t)> reply)>;
+  private:
+    struct Call;
+    struct Attempt;
 
-    /** Typed reply channel: response size plus a disposition code. */
-    using TypedReply = std::function<void(uint64_t bytes, RpcCode code)>;
+  public:
     /**
-     * Typed handler: receives the request's absolute deadline (0 = none)
-     * so the server can shed work it cannot finish in time, and a typed
-     * reply channel for admission-control nacks.
+     * Server side of one RPC attempt. Copyable: a handler may stash
+     * copies in deferred work (a store callback, a fail-slow delay);
+     * only the first invocation across all copies sends a response.
      */
-    using TypedHandler = std::function<void(TimeNs deadline, TypedReply reply)>;
+    class TypedReply
+    {
+      public:
+        TypedReply() = default;
+
+        /** Send a response of @p bytes carrying disposition @p code. */
+        void operator()(uint64_t bytes, RpcCode code = RpcCode::kOk) const;
+
+      private:
+        friend class Network;
+        explicit TypedReply(std::shared_ptr<Attempt> attempt)
+            : attempt_(std::move(attempt))
+        {
+        }
+
+        std::shared_ptr<Attempt> attempt_;
+    };
+
+    /**
+     * Server-side handler: process the request, then invoke the reply.
+     * It runs once per attempt that reaches the server (retries re-run
+     * it), so it must be idempotent. A request whose deadline passed
+     * before it arrived is dropped without running the handler.
+     */
+    using Handler = sim::Func<void(TypedReply reply)>;
+
+    /** Client-side completion of a typed RPC. */
+    using Done = sim::Func<void(RpcCode code), 64>;
 
     Network(sim::Simulator &sim, const NetworkSpec &spec, uint32_t clients);
     ~Network();
@@ -114,7 +150,7 @@ class Network
     /**
      * Send a request of @p request_bytes from @p client; the server runs
      * @p handler; @p delivered fires at the client when the full response
-     * has arrived.
+     * has arrived. No timeout: an unanswered request waits forever.
      *
      * When @p span is non-null the transport marks the request's
      * critical-path milestones on it: kAdmission when the request reaches
@@ -124,7 +160,7 @@ class Network
      * handler, and the reply transfer each land in their own segment.
      */
     void Rpc(uint32_t client, uint64_t request_bytes, Handler handler,
-             sim::Callback delivered,
+             sim::Func<void()> delivered,
              std::shared_ptr<obs::IoSpan> span = {});
 
     /**
@@ -152,7 +188,7 @@ class Network
      * runs out.
      */
     void RpcTyped(uint32_t client, uint64_t request_bytes, TimeNs deadline,
-                  TypedHandler handler, sim::Func<void(RpcCode)> done,
+                  Handler handler, Done done,
                   std::shared_ptr<obs::IoSpan> span = {});
 
     /**
@@ -200,21 +236,45 @@ class Network
     const RpcStats &rpc_stats() const { return rpc_stats_; }
 
   private:
-    /** Per-attempt settle record (the response/timeout race flag plus the
-     *  server's typed disposition); pooled — one per RPC attempt. */
-    struct Settle
+    /** One RPC across all its attempts. */
+    struct Call
     {
-        bool settled = false;
-        RpcCode code = RpcCode::kOk;
+        Network *net = nullptr;
+        Handler handler;
+        Done done;
+        TimeNs deadline = 0;  ///< Absolute; 0 = none.
+        uint64_t request_bytes = 0;
+        uint32_t client = 0;
+        /** Per-attempt timeouts and the retry ladder (plain Rpc: off). */
+        bool retry = false;
     };
 
-    void AttemptRpc(uint32_t client, uint64_t request_bytes, Handler handler,
-                    std::shared_ptr<sim::Func<void(bool)>> done,
-                    uint32_t attempt);
-    void AttemptTyped(uint32_t client, uint64_t request_bytes,
-                      TimeNs deadline, TypedHandler handler,
-                      std::shared_ptr<sim::Func<void(RpcCode)>> done,
-                      uint32_t attempt, std::shared_ptr<obs::IoSpan> span);
+    /** One attempt of a call: the response/timeout race and its outcome. */
+    struct Attempt
+    {
+        std::shared_ptr<Call> call;
+        std::shared_ptr<obs::IoSpan> span;
+        sim::EventId timer = sim::kInvalidEvent;
+        uint32_t index = 0;  ///< 0 = first attempt.
+        RpcCode code = RpcCode::kOk;
+        bool settled = false;  ///< Delivered or timed out.
+        bool replied = false;  ///< The server sent its response.
+    };
+
+    std::shared_ptr<Call> NewCall(uint32_t client, uint64_t request_bytes,
+                                  TimeNs deadline, bool retry,
+                                  Handler handler, Done done);
+    /** Send attempt @p index of @p call and arm its timeout. */
+    void StartAttempt(std::shared_ptr<Call> call, uint32_t index,
+                      std::shared_ptr<obs::IoSpan> span);
+    /** The dispatch CPU granted: drop an expired request or run the
+     *  handler. */
+    void Serve(std::shared_ptr<Attempt> a);
+    /** Server response: worker, then both NICs, then Deliver(). */
+    void Respond(const std::shared_ptr<Attempt> &a, uint64_t bytes,
+                 RpcCode code);
+    void Deliver(const std::shared_ptr<Attempt> &a);
+    void TimedOut(const std::shared_ptr<Attempt> &a);
     /** Server-side service time under the fail-slow multiplier. */
     TimeNs
     Scaled(TimeNs t) const
@@ -226,16 +286,10 @@ class Network
     sim::Simulator &sim_;
     NetworkSpec spec_;
     double service_mult_ = 1.0;
-    /**
-     * Hot-path allocation pools (declared before anything that can hold a
-     * pooled pointer, so they are destroyed last). One pool per pooled
-     * type: the RPC settle record, the delivered-callback box the reply
-     * std::function shares, and the retry ladders' done-callback boxes.
-     */
-    sim::BlockPool settle_pool_;
-    sim::BlockPool delivered_pool_;
-    sim::BlockPool done_bool_pool_;
-    sim::BlockPool done_typed_pool_;
+    /** Call and attempt records; pooled blocks outlive the pools while
+     *  a pending event still holds one (see sim::BlockPool). */
+    sim::BlockPool call_pool_;
+    sim::BlockPool attempt_pool_;
     std::vector<std::unique_ptr<sim::FifoResource>> client_nics_;
     /** One serving worker per client connection (slice thread). */
     std::vector<std::unique_ptr<sim::FifoResource>> workers_;

@@ -149,25 +149,54 @@ Histogram::StdDev() const
 }
 
 double
+Histogram::Interpolate(size_t idx, double below, double target) const
+{
+    // Linear interpolation inside the bucket, clamped to observed extremes
+    // so Quantile(0)/Quantile(1) equal min/max.
+    const double frac = (target - below) / static_cast<double>(buckets_[idx]);
+    const double lo = static_cast<double>(BucketLow(idx));
+    const double hi = static_cast<double>(BucketHigh(idx));
+    const double v = lo + frac * (hi - lo);
+    return std::clamp(v, static_cast<double>(min_), static_cast<double>(max_));
+}
+
+double
 Histogram::Quantile(double q) const
+{
+    // A tail percentile sits a few buckets from the top.
+    return QuantileScan(q, q > 0.5);
+}
+
+double
+Histogram::QuantileScan(double q, bool from_top) const
 {
     if (count_ == 0) return 0.0;
     q = std::clamp(q, 0.0, 1.0);
     const double target = q * static_cast<double>(count_);
+    // The answer is the lowest non-empty bucket whose cumulative count
+    // reaches the target. The count below any bucket is an exact integer
+    // whichever end it is summed from, so both scans compare and
+    // interpolate the same values.
+    if (from_top) {
+        uint64_t above = 0;
+        size_t hit = buckets_.size();
+        for (size_t i = buckets_.size(); i-- > 0;) {
+            if (buckets_[i] == 0) continue;
+            if (static_cast<double>(count_ - above) < target) break;
+            hit = i;
+            above += buckets_[i];
+        }
+        if (hit != buckets_.size()) {
+            const uint64_t below = count_ - above;
+            return Interpolate(hit, static_cast<double>(below), target);
+        }
+        return static_cast<double>(max_);
+    }
     double seen = 0.0;
     for (size_t i = 0; i < buckets_.size(); ++i) {
         if (buckets_[i] == 0) continue;
         const double next = seen + static_cast<double>(buckets_[i]);
-        if (next >= target) {
-            // Linear interpolation inside the bucket, clamped to observed
-            // extremes so Quantile(0)/Quantile(1) equal min/max.
-            const double frac =
-                buckets_[i] ? (target - seen) / static_cast<double>(buckets_[i]) : 0.0;
-            const double lo = static_cast<double>(BucketLow(i));
-            const double hi = static_cast<double>(BucketHigh(i));
-            const double v = lo + frac * (hi - lo);
-            return std::clamp(v, static_cast<double>(min_), static_cast<double>(max_));
-        }
+        if (next >= target) return Interpolate(i, seen, target);
         seen = next;
     }
     return static_cast<double>(max_);

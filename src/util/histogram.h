@@ -59,9 +59,22 @@ class Histogram
     std::string Summary() const;
 
   private:
+    /** Lets the unit test compare both scan directions. */
+    friend struct HistogramScanPeer;
+
+    /**
+     * Quantile() with the bucket scan direction forced: up from the lowest
+     * bucket, or down from the highest. Both return the bit-identical
+     * value; Quantile() scans from the end nearer to @p q.
+     */
+    double QuantileScan(double q, bool from_top) const;
+
     static size_t BucketFor(int64_t value);
     static int64_t BucketLow(size_t idx);
     static int64_t BucketHigh(size_t idx);
+    /** Value at @p target inside non-empty bucket @p idx, which has
+     *  @p below samples under it. */
+    double Interpolate(size_t idx, double below, double target) const;
 
     std::vector<uint64_t> buckets_;
     uint64_t count_ = 0;

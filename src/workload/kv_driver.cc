@@ -200,7 +200,7 @@ RunKvWrites(sim::Simulator &sim, net::Network &net,
                 net.Rpc(
                     client, /*request_bytes=*/size,
                     [slice, size, next_key,
-                     requests](std::function<void(uint64_t)> reply) {
+                     requests](net::Network::TypedReply reply) {
                         slice->Put((*next_key)++, size,
                                    [reply, requests](bool) {
                                        ++*requests;

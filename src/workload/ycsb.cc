@@ -398,9 +398,7 @@ RunYcsb(sim::Simulator &sim, const KvService &svc,
                 PhaseAcc &pa = accs[pi];
                 if (!res.ok) {
                     complete(pi, t0, true);
-                    fail_status(pa, res.status == kv::OpStatus::kOk
-                                        ? kv::OpStatus::kError
-                                        : res.status);
+                    fail_status(pa, res.status);
                 } else if (!res.found) {
                     complete(pi, t0, false);
                     ++pa.out.misses;

@@ -356,7 +356,7 @@ TEST(NetworkRetry, TimesOutBacksOffAndGivesUp)
     bool completed = false;
     net.RpcWithRetry(
         0, 256,
-        [&](std::function<void(uint64_t)>) { ++handler_runs; },  // Black hole.
+        [&](net::Network::TypedReply) { ++handler_runs; },  // Black hole.
         [&](bool ok) {
             done_ok = ok;
             completed = true;
@@ -380,7 +380,7 @@ TEST(NetworkRetry, FastResponseSucceedsWithoutRetries)
     net::Network net(sim, spec, 1);
     bool done_ok = false;
     net.RpcWithRetry(
-        0, 256, [](std::function<void(uint64_t)> reply) { reply(4096); },
+        0, 256, [](net::Network::TypedReply reply) { reply(4096); },
         [&](bool ok) { done_ok = ok; });
     sim.Run();
     EXPECT_TRUE(done_ok);

@@ -121,7 +121,7 @@ TEST(Network, RpcRoundTripLatency)
 
     util::TimeNs done_at = 0;
     net.Rpc(0, 256,
-            [](std::function<void(uint64_t)> reply) { reply(1024); },
+            [](net::Network::TypedReply reply) { reply(1024); },
             [&]() { done_at = sim.Now(); });
     sim.Run();
     // Two one-way delays + two server message costs + transfer times.
@@ -138,7 +138,7 @@ TEST(Network, LargeResponsesBoundByClientNic)
     // 118 MB at ~1.18 GB/s -> ~100 ms.
     util::TimeNs done_at = 0;
     net.Rpc(0, 64,
-            [](std::function<void(uint64_t)> reply) {
+            [](net::Network::TypedReply reply) {
                 reply(static_cast<uint64_t>(118e6));
             },
             [&]() { done_at = sim.Now(); });
@@ -158,7 +158,7 @@ TEST(Network, ServerNicSharedAcrossClients)
     int done = 0;
     for (uint32_t c = 0; c < 4; ++c) {
         net.Rpc(c, 64,
-                [](std::function<void(uint64_t)> reply) {
+                [](net::Network::TypedReply reply) {
                     reply(static_cast<uint64_t>(236e6));
                 },
                 [&]() { ++done; });
@@ -181,7 +181,7 @@ TEST(Network, PerByteWorkerCostCharged)
         net::Network net(s, spec, 1);
         util::TimeNs done_at = 0;
         net.Rpc(0, 64,
-                [](std::function<void(uint64_t)> reply) { reply(1000000); },
+                [](net::Network::TypedReply reply) { reply(1000000); },
                 [&]() { done_at = s.Now(); });
         s.Run();
         return done_at;

@@ -487,6 +487,30 @@ TEST(Slice, FailedCompactionReadAbortsAndKeepsInputs)
     EXPECT_GT(exact, 0u);
 }
 
+TEST(Slice, StorageReadFailureIsTypedError)
+{
+    // A flushed key whose patch sits on a dead channel: the read fails at
+    // the device, and the slice reports it as a typed storage error — not
+    // a miss, and not a failure with status left at kOk.
+    SliceFixture f;
+    f.slice->Put(7, 4096, nullptr);
+    f.slice->Flush();
+    f.sim.Run();
+    ASSERT_EQ(f.slice->patch_count(), 1u);
+    nand::FlashArray &flash = f.device.flash();
+    for (uint32_t ch = 0; ch < flash.channel_count(); ++ch) {
+        flash.channel(ch).InjectDeath();
+    }
+
+    GetResult r;
+    f.slice->Get(7, [&](const GetResult &g) { r = g; });
+    f.sim.Run();
+    EXPECT_FALSE(r.ok);
+    EXPECT_FALSE(r.found);
+    EXPECT_EQ(r.status, OpStatus::kError);
+    EXPECT_GT(f.slice->stats().get_retries, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Store and facades
 // ---------------------------------------------------------------------------

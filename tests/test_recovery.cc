@@ -68,7 +68,7 @@ TEST(HashRingMembership, RemovalBelowReplicationFactorDegrades)
 TEST(HashRingMembership, ReAddReproducesIdenticalVnodeLayout)
 {
     cluster::HashRing ring(4, 32);
-    std::vector<std::vector<uint32_t>> before;
+    std::vector<kv::ReplicaOrder> before;
     for (uint64_t key = 0; key < 1000; ++key) {
         before.push_back(ring.ReplicasFor(key, 2));
     }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include "util/fingerprint.h"
@@ -17,6 +18,16 @@
 #include "util/units.h"
 
 namespace sdf::util {
+
+/** Reaches Histogram's private scan so both directions can be compared. */
+struct HistogramScanPeer
+{
+    static double Scan(const Histogram &h, double q, bool from_top)
+    {
+        return h.QuantileScan(q, from_top);
+    }
+};
+
 namespace {
 
 // ---------------------------------------------------------------------------
@@ -269,6 +280,38 @@ TEST(Histogram, DeltaWithResetInBetweenReturnsCurrent)
 // ---------------------------------------------------------------------------
 // ThroughputMeter / LatencyRecorder
 // ---------------------------------------------------------------------------
+
+TEST(Histogram, TopDownScanMatchesBottomUpBitForBit)
+{
+    const double qs[] = {0.5, 0.9, 0.99, 0.999, 1.0};
+    auto check = [&](const Histogram &h, const char *what) {
+        for (double q : qs) {
+            const double up = HistogramScanPeer::Scan(h, q, false);
+            const double down = HistogramScanPeer::Scan(h, q, true);
+            EXPECT_EQ(std::memcmp(&up, &down, sizeof up), 0)
+                << what << " q=" << q << ": " << up << " vs " << down;
+            const double picked = h.Quantile(q);
+            EXPECT_EQ(std::memcmp(&picked, &up, sizeof up), 0)
+                << what << " q=" << q;
+        }
+    };
+    Rng rng(99);
+    for (int trial = 0; trial < 200; ++trial) {
+        Histogram h;
+        const uint64_t n = 1 + rng.NextBelow(2000);
+        const uint64_t span = uint64_t{1} << (1 + rng.NextBelow(40));
+        for (uint64_t i = 0; i < n; ++i) {
+            // Mostly small values with a sparse heavy tail.
+            const bool tail = rng.NextBelow(100) == 0;
+            h.Add(static_cast<int64_t>(rng.NextBelow(tail ? span : 4096)));
+        }
+        check(h, "random");
+        // Single-sample windows: Delta pins min/max to the exact sample.
+        Histogram prev = h;
+        h.Add(static_cast<int64_t>(rng.NextBelow(span)));
+        check(Histogram::Delta(prev, h), "delta");
+    }
+}
 
 TEST(ThroughputMeter, ComputesMeanBandwidth)
 {

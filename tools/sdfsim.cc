@@ -132,14 +132,15 @@ PrintHelp()
         "fault campaign (--workload=faults):\n"
         "  --fault-plan=<file>  replay a saved fault plan (else random)\n"
         "  --faults=<n>         random faults to inject (default 120)\n"
-        "  --replicas=<n>       replicated stacks (default 3)\n"
+        "  --replicas=<n>       replicated stacks, 1..8 (default 3)\n"
         "  --keys=<n>           keys preloaded per replica (default 300)\n"
         "  --reads=<n>          reads during the fault window (default 1500)\n"
         "\n"
         "cluster (--workload=cluster; the node, key and disruption flags\n"
         "         apply to overload and ycsb too):\n"
         "  --nodes=<n>          storage nodes (default 4)\n"
-        "  --replication=<r>    replicas per key, 1..nodes (default 2)\n"
+        "  --replication=<r>    replicas per key, 1..min(nodes, 8) "
+        "(default 2)\n"
         "  --read-frac=<f>      read fraction, the rest inserts (default 0.9)\n"
         "  --kill-node=<id>     kill that node's device mid-run (degraded "
         "mode)\n"
@@ -361,11 +362,19 @@ Validate(const Options &opt)
                      opt.workload == "scan")) {
         throw BadInput("--device=memblaze runs raw-device workloads only");
     }
+    constexpr uint32_t kMaxReplicas = kv::ReplicaOrder::kMaxReplicas;
+    if (opt.workload == "faults" &&
+        (opt.replicas == 0 || opt.replicas > kMaxReplicas)) {
+        throw BadInput("--replicas must be in 1.." +
+                       std::to_string(kMaxReplicas));
+    }
     if (!cluster) return;
     if (opt.nodes == 0) throw BadInput("--nodes must be at least 1");
-    if (opt.replication == 0 || opt.replication > opt.nodes) {
+    if (opt.replication == 0 || opt.replication > opt.nodes ||
+        opt.replication > kMaxReplicas) {
         throw BadInput("--replication must be in 1..--nodes (" +
-                       std::to_string(opt.nodes) + ")");
+                       std::to_string(opt.nodes) + "), at most " +
+                       std::to_string(kMaxReplicas));
     }
     if (opt.keys == 0) throw BadInput("--keys must be at least 1");
     if (opt.workload == "ycsb" && !workload::IsYcsbProfile(opt.profile)) {
