@@ -151,7 +151,7 @@ RunDegraded(bench::ObsCli &obs)
     const cluster::AuditResult audit = cl.AuditAcked(r.acked_writes);
     const uint64_t lost = audit.lost;
 
-    const kv::ReplicatedKvStats &rs = cl.router().stats();
+    const cluster::ReplicationStats &rs = cl.router().stats();
     std::printf("node 0 died at t=%.0f ms (%llu channel deaths applied)\n",
                 util::NsToMs(t_kill),
                 static_cast<unsigned long long>(injector.stats().deaths));

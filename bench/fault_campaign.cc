@@ -4,15 +4,16 @@
  *
  * The paper's SDF deployment strips the drive of internal redundancy and
  * relies on the distributed software layer for fault tolerance (§2, §5).
- * This campaign stresses that claim: R replicated storage stacks take a
- * barrage of injected hardware faults (channel stalls and deaths, latent
- * page corruption, link CRC windows, elevated RBER) while clients keep
- * reading through a timeout-and-retry network path. With 3-way replication
- * the expected outcome is zero data loss and every request completing —
- * degraded, not down.
+ * This campaign stresses that claim: an R-node cluster with R-way
+ * replication takes a barrage of injected hardware faults on its nodes'
+ * devices (channel stalls and deaths, latent page corruption, link CRC
+ * windows, elevated RBER) while clients keep reading and writing through
+ * the router's timeout-and-retry node RPCs. With 3-way replication the
+ * expected outcome is every preload key acked, zero data loss and every
+ * request completing — degraded, not down.
  *
  * Usage:
- *   fault_campaign [--replicas=3] [--faults=120] [--keys=300] [--reads=1500]
+ *   fault_campaign [--replicas=3] [--faults=120] [--keys=800] [--reads=1500]
  *                  [--seed=42] [--horizon-ms=400] [--plan=<file>]
  *                  [--retry-levels=4] [--print-plan]
  *
@@ -21,8 +22,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 
 #include "bench_common.h"
@@ -79,16 +78,9 @@ main(int argc, char **argv)
                      sdf::kv::ReplicaOrder::kMaxReplicas);
         return 2;
     }
-    if (!plan_path.empty()) {
-        std::ifstream in(plan_path);
-        if (!in) {
-            std::fprintf(stderr, "cannot open plan file %s\n",
-                         plan_path.c_str());
-            return 2;
-        }
-        std::ostringstream text;
-        text << in.rdbuf();
-        cfg.plan_text = text.str();
+    if (!plan_path.empty() &&
+        !sdf::bench::LoadCampaignPlan(plan_path, &cfg)) {
+        return 2;
     }
 
     if (print_plan) {
@@ -111,14 +103,8 @@ main(int argc, char **argv)
     const sdf::bench::FaultCampaignResult r = sdf::bench::RunFaultCampaign(cfg);
     if (!r.plan_error.empty()) return 2;  // Parse error already printed.
     sdf::bench::PrintFaultCampaignResult(cfg, r);
-
-    const bool ok = r.keys_lost == 0 &&
-                    r.requests_completed == r.requests_issued;
-    std::printf("verdict:       %s\n",
-                ok ? "PASS (no data loss, all requests completed)"
-                   : "FAIL");
     sdf::bench::GlobalObs().AddMeta("experiment", "fault_campaign");
     sdf::bench::GlobalObs().AddDerived("result.availability", r.availability);
     if (const int rc = sdf::bench::GlobalObs().Export(); rc != 0) return rc;
-    return ok ? 0 : 1;
+    return sdf::bench::CampaignPassed(cfg, r) ? 0 : 1;
 }

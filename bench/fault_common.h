@@ -3,19 +3,21 @@
  * Shared fault-campaign runner used by bench/fault_campaign and the
  * `sdfsim --workload=faults` subcommand.
  *
- * A campaign assembles R independent replica stacks (SdfDevice + block
- * layer + CCDB store each — separate failure domains, as the paper's
- * no-drive-internal-redundancy design assumes), loads a key population,
- * then replays a deterministic FaultPlan against the hardware while
- * clients read over a timeout-and-retry network path. Afterwards every
- * acknowledged key is audited through the replicated read path.
+ * A campaign builds a cluster::Cluster of R storage nodes with R-way
+ * replication, so every node holds every key and each node's SdfDevice
+ * is an independent failure domain, as the paper's
+ * no-drive-internal-redundancy design assumes. It preloads a key
+ * population, then replays a deterministic FaultPlan against the nodes'
+ * devices while clients read and write through the router, whose
+ * per-node RPCs time out and retry. Afterwards every acknowledged key is
+ * audited through the router's replicated read path.
  *
- * Reported metrics: data loss (keys unreadable from every replica),
+ * Reported metrics: data loss (acked keys unreadable from every replica),
  * availability (fraction of in-window requests answered successfully —
- * every request completes, bounded by timeout x retries), and recovery
- * latency (read-retry ladder recoveries on the device, replica failovers
- * in the store). A stats fingerprint makes determinism checkable: equal
- * seeds must produce equal fingerprints.
+ * every request completes, bounded by timeout x retries per replica), and
+ * recovery latency (read-retry ladder recoveries on the device, replica
+ * failovers in the router). A stats fingerprint makes determinism
+ * checkable: equal seeds must produce equal fingerprints.
  */
 #ifndef SDF_BENCH_FAULT_COMMON_H
 #define SDF_BENCH_FAULT_COMMON_H
@@ -23,13 +25,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <memory>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "cluster/cluster.h"
 #include "fault/fault.h"
-#include "kv/replicated_store.h"
-#include "kv/store.h"
 #include "net/network.h"
 #include "sim/simulator.h"
 #include "testbed/testbed.h"
@@ -40,15 +42,18 @@
 namespace sdf::bench {
 
 /**
- * Network spec tuned for fault campaigns: a tight per-attempt timeout so
- * requests stuck behind a multi-millisecond channel stall abandon the
- * attempt and retry instead of waiting it out.
+ * Per-node RPC spec for fault campaigns: the attempt timeout is short
+ * enough that requests stuck behind a long channel stall abandon the
+ * attempt and retry, yet long enough for the flood-style preload (every
+ * put issued at once, one RPC per replica). At the default size (800
+ * keys, 3 replicas) a timeout of 10 ms or less times out every preload
+ * put and nothing acks.
  */
 inline net::NetworkSpec
 CampaignNetSpec()
 {
     net::NetworkSpec spec;
-    spec.rpc_timeout = util::MsToNs(5);
+    spec.rpc_timeout = util::MsToNs(15);
     spec.rpc_max_retries = 4;
     spec.rpc_backoff_base = util::MsToNs(1);
     return spec;
@@ -57,13 +62,13 @@ CampaignNetSpec()
 /** Campaign knobs. */
 struct FaultCampaignConfig
 {
-    uint32_t replicas = 3;
+    uint32_t replicas = 3;  ///< Nodes, each holding every key.
     uint32_t slices_per_replica = 4;
     double capacity_scale = 0.02;
     uint32_t keys = 800;
     uint32_t value_bytes = 64 * util::kKiB;
-    uint32_t reads = 1500;  ///< Network reads issued during the fault window.
-    uint32_t writes = 200;  ///< Network writes during the window (redirects).
+    uint32_t reads = 1500;  ///< Router reads issued during the fault window.
+    uint32_t writes = 200;  ///< Router writes during the window (redirects).
     double horizon_sec = 0.4;
     uint64_t seed = 42;
     uint32_t fault_count = 120;
@@ -82,9 +87,10 @@ struct FaultCampaignConfig
     uint32_t endurance_cycles = 3000;
     uint32_t ecc_bits = 40;
     uint32_t retry_extra_bits = 10;
+    /** Every node's network endpoint (the router's RPCs into it). */
     net::NetworkSpec net = CampaignNetSpec();
     /** Optional observability hub, installed on the campaign's simulator
-     *  before the replica stacks are built (see obs/hub.h). */
+     *  before the cluster is built (see obs/hub.h). */
     obs::Hub *hub = nullptr;
 };
 
@@ -92,17 +98,18 @@ struct FaultCampaignConfig
 struct FaultCampaignResult
 {
     fault::FaultInjectorStats faults;
-    uint64_t keys_stored = 0;
+    uint64_t keys_preloaded = 0;  ///< Preload puts that acked.
+    uint64_t keys_stored = 0;     ///< Acked keys audited after the run.
     uint64_t keys_lost = 0;  ///< Unreadable from every replica post-run.
     uint64_t requests_issued = 0;
     uint64_t requests_completed = 0;  ///< Every request must complete.
     uint64_t requests_ok = 0;
     double availability = 1.0;  ///< requests_ok / requests_issued.
-    core::SdfStats device;      ///< Summed over replicas.
-    kv::ReplicatedKvStats kv;
-    net::RpcStats rpc;
+    core::SdfStats device;      ///< Summed over nodes.
+    cluster::ReplicationStats kv;
+    net::RpcStats rpc;  ///< Summed over the nodes' endpoints.
     uint64_t ladder_recoveries = 0;   ///< Pages saved by read retries.
-    double ladder_recovery_mean_ms = 0;
+    double ladder_recovery_mean_ms = 0;  ///< Over every rescued page.
     uint64_t failovers = 0;           ///< Reads served by a backup replica.
     double failover_p99_ms = 0;
     /** Equal seeds must yield equal fingerprints (determinism check). */
@@ -111,6 +118,25 @@ struct FaultCampaignResult
      *  not run and none of the counters above are meaningful. */
     std::string plan_error;
 };
+
+/**
+ * Read the FaultPlan file at @p path into @p cfg's plan text. On failure
+ * prints one stderr line and returns false; the front ends then exit 2,
+ * as for any bad input.
+ */
+inline bool
+LoadCampaignPlan(const std::string &path, FaultCampaignConfig *cfg)
+{
+    std::ifstream in(path);
+    if (!in) {
+        std::fprintf(stderr, "cannot open fault plan %s\n", path.c_str());
+        return false;
+    }
+    std::ostringstream text;
+    text << in.rdbuf();
+    cfg->plan_text = text.str();
+    return true;
+}
 
 /** The plan spec a campaign uses when no plan text is supplied. Exposed so
  *  `--print-plan` style tooling can emit exactly the plan a run would use. */
@@ -131,9 +157,9 @@ CampaignFaultSpec(const FaultCampaignConfig &cfg)
     spec.blocks_per_plane = std::min(geo.blocks_per_plane, 8u);
     spec.pages_per_block = geo.pages_per_block;
     spec.max_deaths = cfg.replicas;  // At most ~one dead channel per replica.
-    // Long enough to outlast CampaignNetSpec's 5 ms RPC timeout: stalled
-    // requests must exercise the client's timeout-and-retry path.
-    spec.stall_max = util::MsToNs(8);
+    // Long enough to outlast CampaignNetSpec's 15 ms RPC timeout: stalled
+    // requests must exercise the router's timeout-and-retry path.
+    spec.stall_max = util::MsToNs(30);
     return spec;
 }
 
@@ -148,58 +174,7 @@ CampaignPlanSeed(const FaultCampaignConfig &cfg)
 inline FaultCampaignResult
 RunFaultCampaign(const FaultCampaignConfig &cfg)
 {
-    sim::Simulator sim;
-    if (cfg.hub != nullptr) sim.set_hub(cfg.hub);
-
-    // --- replica stacks: independent devices = independent failure domains.
-    // Wiring is the shared testbed builder's; only the error-model tuning
-    // is campaign-specific.
-    std::vector<testbed::KvStack> stacks;
-    std::vector<kv::Store *> stores;
-    std::vector<core::SdfDevice *> devices;
-    for (uint32_t r = 0; r < cfg.replicas; ++r) {
-        testbed::KvStackConfig kc;
-        kc.stack.backend = testbed::Backend::kBaiduSdf;
-        kc.stack.capacity_scale = cfg.capacity_scale;
-        kc.stack.with_io_stack = false;
-        kc.stack.tune_sdf = [&cfg, r](core::SdfConfig &dc) {
-            dc.flash.errors.enabled = cfg.errors_enabled;
-            dc.flash.errors.base_rber = cfg.base_rber;
-            dc.flash.errors.wear_rber_factor = cfg.wear_rber_factor;
-            dc.flash.errors.endurance_cycles = cfg.endurance_cycles;
-            dc.flash.ecc_correctable_bits = cfg.ecc_bits;
-            dc.flash.retry_extra_correctable_bits = cfg.retry_extra_bits;
-            dc.flash.seed = cfg.seed + 0x9e3779b9ULL * (r + 1);
-            dc.read_retry_levels = cfg.read_retry_levels;
-        };
-        kc.store.slice_count = cfg.slices_per_replica;
-        stacks.push_back(testbed::BuildKvStack(sim, kc));
-        stores.push_back(stacks.back().store.get());
-        devices.push_back(stacks.back().storage.sdf.get());
-    }
-    kv::ReplicatedKv replicated(sim, stores);
-    net::Network net(sim, cfg.net, /*clients=*/1);
-
     FaultCampaignResult result;
-
-    // --- load phase: populate every replica, remember acknowledged keys.
-    std::vector<uint64_t> acked;
-    acked.reserve(cfg.keys);
-    for (uint64_t k = 0; k < cfg.keys; ++k) {
-        replicated.Put(k, cfg.value_bytes, [k, &acked](bool ok) {
-            if (ok) acked.push_back(k);
-        });
-    }
-    sim.Run();
-    // Force memtables onto flash so the fault window reads real media.
-    for (auto &s : stacks) {
-        for (uint32_t i = 0; i < s.store->slice_count(); ++i)
-            s.store->slice(i).Flush();
-    }
-    sim.Run();
-
-    // --- fault window: replay the plan while clients read with retry.
-    const util::TimeNs horizon = util::SecToNs(cfg.horizon_sec);
     fault::FaultPlan plan;
     if (!cfg.plan_text.empty()) {
         std::string error;
@@ -212,16 +187,54 @@ RunFaultCampaign(const FaultCampaignConfig &cfg)
         plan = fault::FaultPlan::Random(CampaignFaultSpec(cfg),
                                         CampaignPlanSeed(cfg));
     }
-    const util::TimeNs t0 = sim.Now();
-    fault::FaultInjector injector(
-        sim, devices,
-        fault::FaultPlan([&] {
-            // Shift the plan into the current window.
-            std::vector<fault::FaultEvent> ev = plan.events();
-            for (auto &e : ev) e.when += t0;
-            return ev;
-        }()));
 
+    sim::Simulator sim;
+    if (cfg.hub != nullptr) sim.set_hub(cfg.hub);
+
+    // --- cluster: R nodes, R-way replication, so every node holds every
+    // key. Only the error-model tuning is campaign-specific; the nodes are
+    // built in id order, so node r's device gets the r-th seed.
+    cluster::ClusterConfig cc;
+    cc.nodes = cfg.replicas;
+    cc.replication = cfg.replicas;
+    cc.node.net = cfg.net;
+    cc.node.kv.stack.backend = testbed::Backend::kBaiduSdf;
+    cc.node.kv.stack.capacity_scale = cfg.capacity_scale;
+    cc.node.kv.stack.with_io_stack = false;
+    cc.node.kv.store.slice_count = cfg.slices_per_replica;
+    uint32_t next_node = 0;
+    cc.node.kv.stack.tune_sdf = [&cfg, &next_node](core::SdfConfig &dc) {
+        const uint32_t r = next_node++;
+        dc.flash.errors.enabled = cfg.errors_enabled;
+        dc.flash.errors.base_rber = cfg.base_rber;
+        dc.flash.errors.wear_rber_factor = cfg.wear_rber_factor;
+        dc.flash.errors.endurance_cycles = cfg.endurance_cycles;
+        dc.flash.ecc_correctable_bits = cfg.ecc_bits;
+        dc.flash.retry_extra_correctable_bits = cfg.retry_extra_bits;
+        dc.flash.seed = cfg.seed + 0x9e3779b9ULL * (r + 1);
+        dc.read_retry_levels = cfg.read_retry_levels;
+    };
+    cluster::Cluster cl(sim, cc);
+    cluster::ClusterRouter &router = cl.router();
+    const std::vector<core::SdfDevice *> devices = cl.SdfDevices();
+
+    // --- load phase: keys 1..keys on every node, flushed to flash so the
+    // fault window reads real media.
+    std::vector<uint64_t> acked = cl.Preload(cfg.keys, cfg.value_bytes);
+    result.keys_preloaded = acked.size();
+
+    // --- fault window: replay the plan while clients read and write.
+    const util::TimeNs horizon = util::SecToNs(cfg.horizon_sec);
+    const util::TimeNs t0 = sim.Now();
+    std::vector<fault::FaultEvent> events = plan.events();
+    for (auto &e : events) e.when += t0;  // Shift into the window.
+    fault::FaultInjector injector(sim, devices,
+                                  fault::FaultPlan(std::move(events)));
+
+    auto complete = [&result](bool ok) {
+        ++result.requests_completed;
+        if (ok) ++result.requests_ok;
+    };
     util::Rng read_rng(cfg.seed ^ 0x5ca1ab1eULL);
     for (uint32_t i = 0; i < cfg.reads; ++i) {
         const util::TimeNs at =
@@ -232,21 +245,9 @@ RunFaultCampaign(const FaultCampaignConfig &cfg)
             acked.empty() ? 0 : acked[read_rng.NextBelow(acked.size())];
         sim.ScheduleAt(at, [&, key]() {
             ++result.requests_issued;
-            net.RpcWithRetry(
-                0, 256,
-                [&, key](net::Network::TypedReply reply) {
-                    replicated.Get(key,
-                                   [reply = std::move(reply)](
-                                       const kv::GetResult &res) {
-                                       reply(res.ok && res.found
-                                                 ? res.value_size
-                                                 : 16);
-                                   });
-                },
-                [&](bool ok) {
-                    ++result.requests_completed;
-                    if (ok) ++result.requests_ok;
-                });
+            router.Get(key, [&](const kv::GetResult &res) {
+                complete(res.ok && res.found);
+            });
         });
     }
     // Fresh writes land while channels are stalling and dying, exercising
@@ -257,44 +258,27 @@ RunFaultCampaign(const FaultCampaignConfig &cfg)
             t0 + static_cast<util::TimeNs>(
                      ((static_cast<double>(i) + 0.5) / cfg.writes) *
                      static_cast<double>(horizon));
-        const uint64_t key = cfg.keys + i;
+        const uint64_t key = uint64_t{cfg.keys} + 1 + i;
         sim.ScheduleAt(at, [&, key]() {
             ++result.requests_issued;
-            net.RpcWithRetry(
-                0, cfg.value_bytes,
-                [&, key](net::Network::TypedReply reply) {
-                    replicated.Put(key, cfg.value_bytes,
-                                   [&acked, key, reply = std::move(reply)](
-                                       bool ok) {
-                                       if (ok) acked.push_back(key);
-                                       reply(16);
-                                   });
-                },
-                [&](bool ok) {
-                    ++result.requests_completed;
-                    if (ok) ++result.requests_ok;
-                });
+            router.PutTyped(key, cfg.value_bytes, [&, key](kv::OpStatus s) {
+                if (s == kv::OpStatus::kOk) acked.push_back(key);
+                complete(s == kv::OpStatus::kOk);
+            });
         });
     }
     sim.RunUntil(t0 + horizon);
     sim.Run();  // Drain in-flight requests, retries, and repairs.
 
     // --- audit phase: every acknowledged key must be readable somewhere.
-    // An RPC-retried Put can ack twice; dedupe so each key is audited once.
     std::sort(acked.begin(), acked.end());
-    acked.erase(std::unique(acked.begin(), acked.end()), acked.end());
     result.keys_stored = acked.size();
-    for (uint64_t key : acked) {
-        replicated.Get(key, [&result](const kv::GetResult &res) {
-            if (!(res.ok && res.found)) ++result.keys_lost;
-        });
-    }
-    sim.Run();
+    result.keys_lost = cl.AuditAcked(acked).lost;
 
     // --- aggregate metrics.
     result.faults = injector.stats();
-    for (auto &s : stacks) {
-        const core::SdfStats &d = s.storage.sdf->stats();
+    for (core::SdfDevice *dev : devices) {
+        const core::SdfStats &d = dev->stats();
         result.device.unit_writes += d.unit_writes;
         result.device.unit_erases += d.unit_erases;
         result.device.page_reads += d.page_reads;
@@ -305,22 +289,28 @@ RunFaultCampaign(const FaultCampaignConfig &cfg)
         result.device.blocks_retired += d.blocks_retired;
         result.device.units_lost += d.units_lost;
         result.device.contract_violations += d.contract_violations;
-        result.ladder_recoveries += s.storage.sdf->recovery_latencies().count();
-        result.ladder_recovery_mean_ms +=
-            s.storage.sdf->recovery_latencies().count() > 0
-                ? s.storage.sdf->recovery_latencies().MeanMs()
-                : 0;
+        const uint64_t recoveries = dev->recovery_latencies().count();
+        result.ladder_recoveries += recoveries;
+        if (recoveries > 0) {
+            result.ladder_recovery_mean_ms +=
+                dev->recovery_latencies().MeanMs() * recoveries;
+        }
     }
-    if (cfg.replicas > 0) {
-        result.ladder_recovery_mean_ms /= cfg.replicas;
+    if (result.ladder_recoveries > 0) {
+        result.ladder_recovery_mean_ms /= result.ladder_recoveries;
     }
-    result.kv = replicated.stats();
-    result.rpc = net.rpc_stats();
-    result.failovers = replicated.recovery_latencies().count();
-    result.failover_p99_ms = result.failovers > 0
-                                 ? replicated.recovery_latencies()
-                                       .PercentileMs(99)
-                                 : 0;
+    for (uint32_t n = 0; n < cl.node_count(); ++n) {
+        const net::RpcStats &s = cl.node(n).net().rpc_stats();
+        result.rpc.timeouts += s.timeouts;
+        result.rpc.retries += s.retries;
+        result.rpc.failures += s.failures;
+    }
+    result.kv = router.stats();
+    result.failovers = router.recovery_latencies().count();
+    result.failover_p99_ms =
+        result.failovers > 0
+            ? router.recovery_latencies().PercentileMs(99)
+            : 0;
     result.availability =
         result.requests_issued > 0
             ? static_cast<double>(result.requests_ok) /
@@ -354,15 +344,29 @@ RunFaultCampaign(const FaultCampaignConfig &cfg)
     return result;
 }
 
-/** Print a campaign result in the standard bench table style. */
+/**
+ * The campaign's verdict: every preload key acked, no acked key lost and
+ * every in-window request completed. A short preload fails the campaign
+ * rather than shrinking the audit.
+ */
+inline bool
+CampaignPassed(const FaultCampaignConfig &cfg, const FaultCampaignResult &r)
+{
+    return r.keys_preloaded == cfg.keys && r.keys_lost == 0 &&
+           r.requests_completed == r.requests_issued;
+}
+
+/** Print a campaign result and its verdict in the standard bench table
+ *  style. */
 inline void
 PrintFaultCampaignResult(const FaultCampaignConfig &cfg,
                          const FaultCampaignResult &r)
 {
-    std::printf("replicas %u, %llu keys stored, faults applied: %llu "
-                "(%llu stalls, %llu deaths, %llu corruptions, %llu crc "
-                "windows, %llu rber)\n",
+    std::printf("replicas %u, %llu/%u preload keys acked, %llu keys "
+                "stored, faults applied: %llu (%llu stalls, %llu deaths, "
+                "%llu corruptions, %llu crc windows, %llu rber)\n",
                 cfg.replicas,
+                static_cast<unsigned long long>(r.keys_preloaded), cfg.keys,
                 static_cast<unsigned long long>(r.keys_stored),
                 static_cast<unsigned long long>(r.faults.total()),
                 static_cast<unsigned long long>(r.faults.stalls),
@@ -402,6 +406,10 @@ PrintFaultCampaignResult(const FaultCampaignConfig &cfg,
                 static_cast<unsigned long long>(r.rpc.failures));
     std::printf("fingerprint:   %016llx (same seed => same value)\n",
                 static_cast<unsigned long long>(r.fingerprint));
+    std::printf("verdict:       %s\n",
+                CampaignPassed(cfg, r)
+                    ? "PASS (no data loss, all requests completed)"
+                    : "FAIL");
 }
 
 }  // namespace sdf::bench

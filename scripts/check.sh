@@ -6,7 +6,8 @@
 # same-seed byte identity) via tools/validate_stats.py, the cluster
 # workload (same-seed determinism + degraded-mode zero-loss), the
 # open-loop overload workload (typed sheds, fail-slow hedging/breaker),
-# the production_day example and sdfsim's rejection of bad input.
+# the production_day example, sdfsim's rejection of bad input and the
+# fault campaign under the sanitizers.
 # The RPC retry ladder (timeouts, retries, late responses) has its own
 # smoke: same-seed, heap-vs-calendar and under the sanitizers.
 # Usage: scripts/check.sh [extra ctest args...]
@@ -152,7 +153,8 @@ echo "== bad input =="
 # an uncaught exception, a panic or a silent fallback.
 for args in "--nodes=abc" "--workload=cluster --replication=3 --nodes=2" \
         "--workload=ycsb --profile=zzz" "--workload=cluster --device=zzz" \
-        "--workload=overload --device=zzz" "--workload=ycsb --device=zzz"; do
+        "--workload=overload --device=zzz" "--workload=ycsb --device=zzz" \
+        "--workload=faults --fault-plan=/nonexistent/plan.txt"; do
     rc=0
     # shellcheck disable=SC2086
     ./build/tools/sdfsim $args > /dev/null 2> "$obs_tmp/bad.err" || rc=$?
@@ -219,6 +221,9 @@ cmake --build build-asan -j
     --duration=0.2 --arrival-rate=60000 --storm=2.0 > /dev/null
 ./build-asan/tools/sdfsim --workload=overload --nodes=3 --replication=2 \
     --duration=0.2 --fail-slow-node=1 --no-breaker > /dev/null
+# The fault campaign under the sanitizers: channel deaths, stalls and
+# corruption on every node's device, router failover and read-repair.
+./build-asan/tools/sdfsim --workload=faults > /dev/null
 # Both engines under the sanitizers (ctest above runs the default
 # calendar engine; this covers the reference heap path too).
 ./build-asan/tools/sdfsim --workload=overload --nodes=3 --replication=2 \

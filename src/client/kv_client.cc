@@ -388,8 +388,8 @@ KvClient::OnPrimaryResult(const std::shared_ptr<GetOp> &op,
         Settle(op, res, /*from_hedge=*/false);
         return;
     }
-    // Primary missed, shed, or failed: let the replication engine walk
-    // the replicas (it owns miss-authority semantics and read-repair).
+    // Primary missed, shed, or failed: let the router's Get walk the
+    // replicas (it owns miss-authority semantics and read-repair).
     ++stats_.fallback_walks;
     kv::OpContext ctx;
     ctx.deadline = op->deadline;

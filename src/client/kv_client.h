@@ -129,7 +129,7 @@ class KvClient
 
     /**
      * Async read: primary replica first (coalesced when queued), hedged
-     * past the adaptive threshold, falling back to the engine's failover
+     * past the adaptive threshold, falling back to the router's failover
      * walk when the primary cannot serve.
      */
     void Get(uint64_t key, GetDone done);

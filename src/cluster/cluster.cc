@@ -546,8 +546,7 @@ ClusterRouter::ClusterRouter(sim::Simulator &sim,
       node_puts_(nodes.size(), 0),
       node_gets_(nodes.size(), 0),
       nodes_(nodes),
-      breaker_(static_cast<uint32_t>(nodes.size()), breaker),
-      engine_(sim, *this)
+      breaker_(static_cast<uint32_t>(nodes.size()), breaker)
 {
     SDF_CHECK_MSG(replication >= 1 && replication <= nodes.size(),
                   "replication must be in [1, nodes]");
@@ -559,7 +558,7 @@ ClusterRouter::ClusterRouter(sim::Simulator &sim,
     if (hub_ != nullptr) {
         obs::MetricsRegistry &m = hub_->metrics();
         metric_prefix_ = m.UniquePrefix("cluster");
-        const kv::ReplicatedKvStats &st = engine_.stats();
+        const ReplicationStats &st = stats_;
         m.RegisterCounter(metric_prefix_ + ".puts", &st.puts);
         m.RegisterCounter(metric_prefix_ + ".gets", &st.gets);
         m.RegisterCounter(metric_prefix_ + ".put_failures",
@@ -633,12 +632,174 @@ ClusterRouter::PutTo(uint32_t node, uint64_t key, uint32_t value_size,
 }
 
 void
-ClusterRouter::GetFrom(uint32_t node, uint64_t key, kv::GetCallback done,
-                       const kv::OpContext &ctx)
+ClusterRouter::GetAt(uint32_t node, uint64_t key, const kv::OpContext &ctx,
+                     kv::GetCallback done)
 {
     SDF_CHECK(node < nodes_.size());
     ++node_gets_[node];
     nodes_[node]->Get(key, ctx, std::move(done), breaker_);
+}
+
+void
+ClusterRouter::PutTyped(uint64_t key, uint32_t value_size,
+                        kv::PutStatusCallback done,
+                        std::shared_ptr<std::vector<uint8_t>> payload,
+                        kv::OpContext ctx)
+{
+    ++stats_.puts;
+    auto join = sim::MakePooledShared<PutJoin>(join_pool_);
+    join->done = std::move(done);
+    const kv::ReplicaOrder order = ReadOrder(key);
+    if (order.empty()) {
+        // Every node that could hold the key is out of the membership.
+        ++stats_.no_replica_rejects;
+        ++stats_.put_failures;
+        sim_.Post([join = std::move(join)]() {
+            if (join->done) join->done(kv::OpStatus::kError);
+        });
+        return;
+    }
+    join->remaining = order.size();
+    for (uint32_t node : order) {
+        PutTo(
+            node, key, value_size,
+            [this, join](kv::OpStatus s) { OnReplicaPut(*join, s); },
+            payload, ctx);
+        // Only the first replica's RPC writes the request's critical-path
+        // span; a second concurrent writer would corrupt the timeline.
+        // Later replicas keep the trace identity but no span.
+        ctx.path = nullptr;
+    }
+}
+
+void
+ClusterRouter::OnReplicaPut(PutJoin &join, kv::OpStatus s)
+{
+    if (s == kv::OpStatus::kOk) {
+        ++join.successes;
+    } else {
+        ++stats_.put_replica_failures;
+        join.worst = kv::WorseStatus(join.worst, s);
+    }
+    if (--join.remaining > 0) return;
+    kv::OpStatus result = kv::OpStatus::kOk;
+    if (join.successes == 0) {
+        ++stats_.put_failures;
+        result = join.worst == kv::OpStatus::kOk ? kv::OpStatus::kError
+                                                 : join.worst;
+    }
+    if (join.done) join.done(result);
+}
+
+void
+ClusterRouter::Get(uint64_t key, kv::GetCallback done, kv::OpContext ctx)
+{
+    ++stats_.gets;
+    auto walk = sim::MakePooledShared<GetWalk>(walk_pool_);
+    walk->order = ReadOrder(key);
+    if (walk->order.empty()) {
+        ++stats_.no_replica_rejects;
+        ++stats_.failed_reads;
+        sim_.Post([done = std::move(done)]() {
+            if (done) {
+                kv::GetResult res;
+                res.ok = false;
+                res.status = kv::OpStatus::kError;
+                done(res);
+            }
+        });
+        return;
+    }
+    walk->key = key;
+    walk->epoch = epoch_;
+    walk->ctx = std::move(ctx);
+    walk->done = std::move(done);
+    DoGet(std::move(walk));
+}
+
+void
+ClusterRouter::DoGet(std::shared_ptr<GetWalk> walk)
+{
+    GetWalk &w = *walk;
+    if (w.attempt == w.order.size()) {
+        // Exhausted. All clean misses -> an authoritative miss; any
+        // failure along the way -> a failed read.
+        kv::GetResult res;
+        res.found = false;
+        res.ok = w.worst == kv::OpStatus::kOk;
+        res.status = w.worst;
+        if (!res.ok) ++stats_.failed_reads;
+        if (w.done) w.done(res);
+        return;
+    }
+    GetAt(w.order[w.attempt], w.key, w.ctx,
+          [this, walk = std::move(walk)](const kv::GetResult &res) mutable {
+              OnReplicaGet(std::move(walk), res);
+          });
+}
+
+void
+ClusterRouter::OnReplicaGet(std::shared_ptr<GetWalk> walk,
+                            const kv::GetResult &res)
+{
+    GetWalk &w = *walk;
+    if (!res.ok || !res.found) {
+        if (w.attempt == 0) w.first_fail = sim_.Now();
+        // A clean miss contributes kOk: only typed failures make the
+        // walk's result a failed read.
+        w.worst = kv::WorseStatus(w.worst,
+                                  res.ok ? kv::OpStatus::kOk : res.status);
+        // Membership moved while we were waiting (a node died or
+        // rejoined): the replica list is stale — restart against fresh
+        // placement. Bounded by the number of epoch bumps.
+        if (epoch_ != w.epoch) {
+            ++stats_.epoch_restarts;
+            w.order = ReadOrder(w.key);
+            if (w.order.empty()) {
+                ++stats_.no_replica_rejects;
+                ++stats_.failed_reads;
+                if (w.done) {
+                    kv::GetResult fail;
+                    fail.ok = false;
+                    fail.status =
+                        kv::WorseStatus(w.worst, kv::OpStatus::kError);
+                    w.done(fail);
+                }
+                return;
+            }
+            w.attempt = 0;
+            w.epoch = epoch_;
+            DoGet(std::move(walk));
+            return;
+        }
+        // A failure — or a miss on this replica, which may just have lost
+        // the put that a later replica acked (degraded-mode write).
+        // Either way, ask the next one.
+        ++w.attempt;
+        DoGet(std::move(walk));
+        return;
+    }
+    if (w.attempt > 0) {
+        ++stats_.degraded_reads;
+        recovery_latencies_.Record(sim_.Now() - w.first_fail);
+        Repair(w.key, res, w.order, w.attempt);
+    }
+    if (w.done) w.done(res);
+}
+
+void
+ClusterRouter::Repair(uint64_t key, const kv::GetResult &good,
+                      const kv::ReplicaOrder &order, uint32_t failed_count)
+{
+    for (uint32_t i = 0; i < failed_count; ++i) {
+        ++stats_.re_replications;
+        PutTo(
+            order[i], key, good.value_size,
+            [this](kv::OpStatus s) {
+                if (s != kv::OpStatus::kOk) ++stats_.re_replication_failures;
+            },
+            good.payload, kv::OpContext{});
+    }
 }
 
 void
@@ -816,8 +977,9 @@ Cluster::Preload(uint32_t count, uint32_t value_bytes)
 {
     std::vector<bool> acked(count, false);
     for (uint32_t k = 0; k < count; ++k) {
-        router_->Put(k + 1, value_bytes,
-                     [&acked, k](bool ok) { acked[k] = ok; });
+        router_->PutTyped(k + 1, value_bytes, [&acked, k](kv::OpStatus s) {
+            acked[k] = s == kv::OpStatus::kOk;
+        });
     }
     sim_.Run();
     FlushAll();

@@ -11,11 +11,10 @@
  *    stack (any testbed::Backend) and multi-slice kv::Store. All its
  *    metrics self-register under "node<N>.*".
  *  - ClusterRouter: the client-side library that consistent-hash-shards
- *    keys over the nodes with R-way replication, reusing
- *    kv::ReplicationEngine (as its kv::ReplicaSet) for fan-out, failover
- *    and read-repair; RPCs go through net::Network's timeout/backoff
- *    path, so a dead node degrades into retries + failover instead of a
- *    hang.
+ *    keys over the nodes with R-way replication — put fan-out, get
+ *    failover and read-repair; RPCs go through net::Network's
+ *    timeout/backoff path, so a dead node degrades into retries +
+ *    failover instead of a hang.
  *  - Cluster: convenience bundle (N nodes + router) for benches/tools.
  */
 #ifndef SDF_CLUSTER_CLUSTER_H
@@ -30,12 +29,12 @@
 #include "cluster/breaker.h"
 #include "cluster/hash_ring.h"
 #include "kv/recovery.h"
-#include "kv/replicated_store.h"
 #include "kv/store.h"
 #include "net/network.h"
 #include "sim/pool.h"
 #include "sim/simulator.h"
 #include "testbed/testbed.h"
+#include "util/latency_recorder.h"
 #include "workload/kv_driver.h"
 
 namespace sdf::cluster {
@@ -43,6 +42,23 @@ namespace sdf::cluster {
 class Rebalancer;
 class AntiEntropy;
 struct RebalanceConfig;
+
+/** Cumulative replication statistics of a ClusterRouter ("cluster.*"). */
+struct ReplicationStats
+{
+    uint64_t puts = 0;
+    uint64_t gets = 0;
+    uint64_t put_replica_failures = 0;  ///< Individual replica puts failed.
+    uint64_t put_failures = 0;          ///< Puts with zero durable copies.
+    uint64_t degraded_reads = 0;        ///< Served by a non-primary replica.
+    uint64_t failed_reads = 0;          ///< Every replica errored.
+    uint64_t re_replications = 0;       ///< Read-repair puts issued.
+    uint64_t re_replication_failures = 0;
+    /** Gets restarted with fresh placement after a membership change. */
+    uint64_t epoch_restarts = 0;
+    /** Ops rejected because no replica was live (all nodes down). */
+    uint64_t no_replica_rejects = 0;
+};
 
 /** How to build one storage node. */
 struct NodeConfig
@@ -335,11 +351,18 @@ class StorageNode
 
 /**
  * Client-side shard router: key -> R distinct nodes via the consistent-
- * hash ring, fan-out/failover/read-repair via kv::ReplicationEngine (the
- * router is the engine's ReplicaSet: replica i is node i). The nodes must
- * outlive the router.
+ * hash ring (replica i is node i). The nodes must outlive the router.
+ *
+ *  - Put fans out to every replica; the ack carries overall success (at
+ *    least one durable copy) and per-replica failures are counted.
+ *  - Get reads the first node of ReadOrder() and transparently fails
+ *    over to the next one when a node reports a typed error (uncorrectable
+ *    data, dead channel, timeout) or a miss.
+ *  - A degraded read triggers read-repair: the value recovered from a
+ *    surviving replica is re-put onto the replicas that failed or missed,
+ *    restoring R-way redundancy in the background.
  */
-class ClusterRouter : private kv::ReplicaSet
+class ClusterRouter
 {
   public:
     ClusterRouter(sim::Simulator &sim,
@@ -362,9 +385,9 @@ class ClusterRouter : private kv::ReplicaSet
     const HashRing &ring() const { return ring_; }
 
     /**
-     * Membership epoch: bumped on every MarkNodeDown/MarkNodeUp. The
-     * replication engine snapshots it per get and restarts against fresh
-     * placement when it moves mid-operation.
+     * Membership epoch: bumped on every MarkNodeDown/MarkNodeUp. Get
+     * snapshots it and restarts against fresh placement when it moves
+     * mid-operation.
      */
     uint64_t epoch() const { return epoch_; }
     bool node_live(uint32_t id) const { return ring_.Contains(id); }
@@ -384,48 +407,41 @@ class ClusterRouter : private kv::ReplicaSet
     /**
      * Placement order with fail-slow policy applied: the ring's replica
      * set, with breaker-open nodes demoted to the back. This is the
-     * order the engine walks and the order the client front door hedges
+     * order Get walks and the order the client front door hedges
      * against.
      */
     kv::ReplicaOrder ReadOrder(uint64_t key);
 
-    /** See ReplicationEngine::Put (ack == at least one durable copy). */
-    void
-    Put(uint64_t key, uint32_t value_size, kv::PutCallback done,
-        std::shared_ptr<std::vector<uint8_t>> payload = nullptr,
-        kv::OpContext ctx = {})
-    {
-        engine_.Put(key, value_size, std::move(done), std::move(payload),
-                    ctx);
-    }
-
-    /** See ReplicationEngine::PutTyped (typed overall disposition). */
-    void
-    PutTyped(uint64_t key, uint32_t value_size, kv::PutStatusCallback done,
-             std::shared_ptr<std::vector<uint8_t>> payload = nullptr,
-             kv::OpContext ctx = {})
-    {
-        engine_.PutTyped(key, value_size, std::move(done),
-                         std::move(payload), ctx);
-    }
-
-    /** See ReplicationEngine::Get (transparent failover + read-repair). */
-    void Get(uint64_t key, kv::GetCallback done, kv::OpContext ctx = {})
-    {
-        engine_.Get(key, std::move(done), ctx);
-    }
+    /**
+     * Store @p key on every replica. @p done receives kOk once at least
+     * one replica persisted the value (the others are repaired by later
+     * degraded reads), otherwise the most backpressure-actionable failure
+     * any replica reported (overload beats deadline beats storage error;
+     * see kv::WorseStatus).
+     */
+    void PutTyped(uint64_t key, uint32_t value_size,
+                  kv::PutStatusCallback done,
+                  std::shared_ptr<std::vector<uint8_t>> payload = nullptr,
+                  kv::OpContext ctx = {});
 
     /**
-     * Direct single-node read, no failover — the client front door's
-     * primary/hedge attempts. Counted and breaker-sampled like every
-     * routed request.
+     * Read @p key with transparent failover: replicas are tried in
+     * ReadOrder() until one serves the value. A miss on one replica also
+     * fails over (a degraded-mode put may have landed on only some
+     * replicas); the read is a miss only when every replica agrees. The
+     * result's ok flag is false only when a replica failed and none
+     * served the value; res.status then carries the worst typed failure
+     * seen across the walk.
      */
-    void
-    GetAt(uint32_t node, uint64_t key, const kv::OpContext &ctx,
-          kv::GetCallback done)
-    {
-        GetFrom(node, key, std::move(done), ctx);
-    }
+    void Get(uint64_t key, kv::GetCallback done, kv::OpContext ctx = {});
+
+    /**
+     * Direct single-node read, no failover: one step of Get's walk, and
+     * the client front door's primary/hedge attempts. Counted per node
+     * and breaker-sampled on completion.
+     */
+    void GetAt(uint32_t node, uint64_t key, const kv::OpContext &ctx,
+               kv::GetCallback done);
 
     /** Direct coalesced read on one node; see StorageNode::BatchGet. */
     void BatchGetAt(uint32_t node, std::vector<uint64_t> keys,
@@ -451,10 +467,15 @@ class ClusterRouter : private kv::ReplicaSet
     /** The router as a generic workload target. */
     workload::KvService Service();
 
-    const kv::ReplicatedKvStats &stats() const { return engine_.stats(); }
+    const ReplicationStats &stats() const { return stats_; }
+
+    /**
+     * Latency from the first replica's failure to the moment a surviving
+     * replica served the value (per degraded read).
+     */
     const util::LatencyRecorder &recovery_latencies() const
     {
-        return engine_.recovery_latencies();
+        return recovery_latencies_;
     }
 
     /** Requests this router sent to node @p i (placement balance). */
@@ -470,17 +491,41 @@ class ClusterRouter : private kv::ReplicaSet
     const FailSlowBreaker &breaker() const { return breaker_; }
 
   private:
-    // kv::ReplicaSet: replica i is node i, counted per node and sampled
-    // by the breaker on completion.
-    uint32_t replica_count() const override { return endpoint_count(); }
-    kv::ReplicaOrder Order(uint64_t key) override { return ReadOrder(key); }
-    uint64_t Epoch() const override { return epoch_; }
+    /** One Put's fan-out: the replicas' acks join here. */
+    struct PutJoin
+    {
+        uint32_t remaining = 0;
+        uint32_t successes = 0;
+        kv::OpStatus worst = kv::OpStatus::kOk;
+        kv::PutStatusCallback done;
+    };
+
+    /** One Get's walk over its replica order. */
+    struct GetWalk
+    {
+        uint64_t key = 0;
+        kv::ReplicaOrder order;
+        uint32_t attempt = 0;  ///< Index into order.
+        util::TimeNs first_fail = 0;
+        kv::OpStatus worst = kv::OpStatus::kOk;
+        uint64_t epoch = 0;
+        kv::OpContext ctx;
+        kv::GetCallback done;
+    };
+
+    /** One put RPC into node @p node; counted and breaker-sampled like
+     *  GetAt. */
     void PutTo(uint32_t node, uint64_t key, uint32_t value_size,
                kv::PutStatusCallback done,
                std::shared_ptr<std::vector<uint8_t>> payload,
-               const kv::OpContext &ctx) override;
-    void GetFrom(uint32_t node, uint64_t key, kv::GetCallback done,
-                 const kv::OpContext &ctx) override;
+               const kv::OpContext &ctx);
+    void OnReplicaPut(PutJoin &join, kv::OpStatus s);
+    void DoGet(std::shared_ptr<GetWalk> walk);
+    void OnReplicaGet(std::shared_ptr<GetWalk> walk,
+                      const kv::GetResult &res);
+    /** Re-put @p good onto the first @p failed_count nodes of @p order. */
+    void Repair(uint64_t key, const kv::GetResult &good,
+                const kv::ReplicaOrder &order, uint32_t failed_count);
 
     sim::Simulator &sim_;
     HashRing ring_;
@@ -493,7 +538,11 @@ class ClusterRouter : private kv::ReplicaSet
     uint64_t scan_failures_ = 0;
     std::vector<StorageNode *> nodes_;
     FailSlowBreaker breaker_;
-    kv::ReplicationEngine engine_;
+    /** Per-op records (see sim::BlockPool for their teardown safety). */
+    sim::BlockPool join_pool_;
+    sim::BlockPool walk_pool_;
+    ReplicationStats stats_;
+    util::LatencyRecorder recovery_latencies_;
     obs::Hub *hub_ = nullptr;
     std::string metric_prefix_;
 };

@@ -86,11 +86,11 @@ KvRunResult RunKvWrites(sim::Simulator &sim, net::Network &net,
                         const KvRunConfig &run);
 
 /**
- * A put/get frontend the load engine can target: a single Store, an
- * R-way ReplicatedKv, or a whole cluster::ClusterRouter — the engine does
- * not care where the keys live. `put` must ack durability with a typed
- * outcome (why a write failed: overload/deadline/error); `get` must
- * deliver the stored value size (res.found) or a typed failure (res.ok).
+ * A put/get frontend the load engine can target: a single Store or a
+ * whole cluster::ClusterRouter — the engine does not care where the keys
+ * live. `put` must ack durability with a typed outcome (why a write
+ * failed: overload/deadline/error); `get` must deliver the stored value
+ * size (res.found) or a typed failure (res.ok).
  */
 struct KvService
 {

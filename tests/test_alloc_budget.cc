@@ -6,7 +6,7 @@
  * each page's continuation runs through the channel and the event engine.
  * Those continuations must fit their callables' inline buffers, so a
  * request costs a fixed number of allocations however many pages it
- * spans. The cluster op path (router, replication engine, node RPC stubs,
+ * spans. The cluster op path (router fan-out and walk, node RPC stubs,
  * transport, slice, I/O stack) runs on pooled per-op records, so a routed
  * get or put costs a small fixed number of allocations once the pools are
  * warm. This binary replaces the global operator new with a counting one

@@ -238,7 +238,9 @@ TEST(Cluster, PutGetSpreadsAcrossNodes)
     int acked = 0;
     const uint64_t keys = 60;
     for (uint64_t key = 1; key <= keys; ++key) {
-        cl.router().Put(key, 16 * util::kKiB, [&](bool ok) { acked += ok; });
+        cl.router().PutTyped(key, 16 * util::kKiB, [&](kv::OpStatus s) {
+            acked += s == kv::OpStatus::kOk;
+        });
     }
     sim.Run();
     EXPECT_EQ(acked, static_cast<int>(keys));
@@ -585,8 +587,8 @@ TEST(Cluster, AdmissionCapShedsWithTypedOverload)
     uint64_t loaded = 0;
     std::function<void(uint64_t)> load = [&](uint64_t k) {
         if (k > keys) return;
-        cl.router().Put(k, 16 * util::kKiB, [&, k](bool ok) {
-            loaded += ok;
+        cl.router().PutTyped(k, 16 * util::kKiB, [&, k](kv::OpStatus s) {
+            loaded += s == kv::OpStatus::kOk;
             load(k + 1);
         });
     };
@@ -656,8 +658,8 @@ TEST(Cluster, BreakerDemotesFailSlowNodeAndRecovers)
             if (next >= ops) return;
             const uint64_t key = keys[next % keys.size()];
             if (next++ % 4 == 0) {
-                cl.router().Put(key, 16 * util::kKiB,
-                                [&](bool) { step(); });
+                cl.router().PutTyped(key, 16 * util::kKiB,
+                                     [&](kv::OpStatus) { step(); });
             } else {
                 cl.router().Get(key, [&](const kv::GetResult &) { step(); });
             }

@@ -2,9 +2,10 @@
  * @file
  * End-to-end fault injection and recovery tests: the fault plan format,
  * the injector, the device read-retry ladder and block retirement, unit
- * lifecycle under wear-out, network timeout/retry, replicated failover
- * with read-repair, and full fault-campaign invariants (no data loss,
- * bounded completion, determinism).
+ * lifecycle under wear-out, network timeout/retry, failover with
+ * read-repair on a 3-node R = 3 cluster, and full fault-campaign
+ * invariants (full preload, no data loss, bounded completion,
+ * determinism).
  */
 #include <gtest/gtest.h>
 
@@ -12,9 +13,10 @@
 #include <memory>
 #include <vector>
 
+#include "cluster/cluster.h"
+#include "cluster_test_util.h"
 #include "fault/fault.h"
 #include "fault_common.h"
-#include "kv/replicated_store.h"
 #include "net/network.h"
 #include "sdf/sdf_device.h"
 #include "sim/simulator.h"
@@ -390,142 +392,103 @@ TEST(NetworkRetry, FastResponseSucceedsWithoutRetries)
 }
 
 // ---------------------------------------------------------------------------
-// Replicated degraded-mode operation
+// Replicated degraded-mode operation (3 nodes, R = 3: every key everywhere)
 // ---------------------------------------------------------------------------
 
-struct TinyStack
-{
-    std::unique_ptr<core::SdfDevice> device;
-    std::unique_ptr<blocklayer::BlockLayer> layer;
-    std::unique_ptr<kv::SdfPatchStorage> storage;
-    std::unique_ptr<kv::Store> store;
-};
-
-TinyStack
-MakeTinyStack(sim::Simulator &sim, uint64_t seed)
-{
-    TinyStack s;
-    core::SdfConfig cfg = TinyConfig();
-    cfg.flash.seed = seed;
-    s.device = std::make_unique<core::SdfDevice>(sim, cfg);
-    s.layer = std::make_unique<blocklayer::BlockLayer>(
-        sim, *s.device, blocklayer::BlockLayerConfig{});
-    s.storage = std::make_unique<kv::SdfPatchStorage>(*s.layer);
-    kv::StoreConfig sc;
-    sc.slice_count = 2;
-    s.store = std::make_unique<kv::Store>(sim, *s.storage, sc);
-    return s;
-}
-
+/** Kill every channel of the devices of @p nodes through a FaultInjector,
+ *  all at the current instant, and let the deaths apply. */
 void
-KillDevice(core::SdfDevice &dev)
+KillNodeDevices(sim::Simulator &sim, cluster::Cluster &cl,
+                const std::vector<uint32_t> &nodes)
 {
-    for (uint32_t c = 0; c < dev.channel_count(); ++c) {
-        dev.flash().channel(c).InjectDeath();
-    }
-}
-
-TEST(ReplicatedKv, FailsOverAndReadRepairs)
-{
-    sim::Simulator sim;
-    std::vector<TinyStack> stacks;
-    std::vector<kv::Store *> stores;
-    for (uint64_t r = 0; r < 3; ++r) {
-        stacks.push_back(MakeTinyStack(sim, 1000 + r));
-        stores.push_back(stacks.back().store.get());
-    }
-    kv::ReplicatedKv rep(sim, stores);
-
-    const uint64_t key = 3;  // PrimaryOf(3) == 0.
-    ASSERT_EQ(rep.PrimaryOf(key), 0u);
-    bool put_ok = false;
-    rep.Put(key, 4096, [&](bool ok) { put_ok = ok; });
-    sim.Run();
-    ASSERT_TRUE(put_ok);
-    // Push the value out of every memtable so reads touch real media.
-    for (auto &s : stacks) {
-        for (uint32_t i = 0; i < s.store->slice_count(); ++i) {
-            s.store->slice(i).Flush();
+    const std::vector<core::SdfDevice *> devices = cl.SdfDevices();
+    std::vector<fault::FaultEvent> events;
+    for (uint32_t n : nodes) {
+        for (uint32_t c = 0; c < devices[n]->channel_count(); ++c) {
+            fault::FaultEvent e;
+            e.when = sim.Now();
+            e.kind = fault::FaultKind::kChannelDeath;
+            e.device = n;
+            e.channel = c;
+            events.push_back(e);
         }
     }
+    const uint64_t deaths = events.size();
+    fault::FaultInjector injector(sim, devices,
+                                  fault::FaultPlan(std::move(events)));
     sim.Run();
+    ASSERT_EQ(injector.stats().deaths, deaths);
+}
 
-    KillDevice(*stacks[0].device);
+TEST(ClusterFailover, FailsOverAndReadRepairs)
+{
+    sim::Simulator sim;
+    cluster::Cluster cl(sim, SmallCluster(3, 3));
+    // Preload flushes: the value sits on every node's flash.
+    ASSERT_EQ(cl.Preload(3, 4096).size(), 3u);
+    const uint64_t key = 3;
+    const uint32_t primary = cl.router().ReadOrder(key).front();
+
+    KillNodeDevices(sim, cl, {primary});
     bool found = false, ok = false;
-    rep.Get(key, [&](const kv::GetResult &res) {
+    cl.router().Get(key, [&](const kv::GetResult &res) {
         found = res.found;
         ok = res.ok;
     });
     sim.Run();
     EXPECT_TRUE(ok);
     EXPECT_TRUE(found);
-    EXPECT_EQ(rep.stats().degraded_reads, 1u);
-    EXPECT_GE(rep.stats().re_replications, 1u);
-    EXPECT_EQ(rep.recovery_latencies().count(), 1u);
+    EXPECT_EQ(cl.router().stats().degraded_reads, 1u);
+    EXPECT_GE(cl.router().stats().re_replications, 1u);
+    EXPECT_EQ(cl.router().recovery_latencies().count(), 1u);
 
-    // The repair re-put the value into replica 0 (its memtable still
+    // The repair re-put the value onto the primary (its memtable still
     // accepts writes): a re-read of the repaired key is no longer
     // degraded.
-    rep.Get(key, [](const kv::GetResult &res) { EXPECT_TRUE(res.found); });
+    found = false;
+    cl.router().Get(key, [&](const kv::GetResult &res) {
+        found = res.found;
+    });
     sim.Run();
-    EXPECT_EQ(rep.stats().degraded_reads, 1u);
+    EXPECT_TRUE(found);
+    EXPECT_EQ(cl.router().stats().degraded_reads, 1u);
 }
 
-TEST(ReplicatedKv, AllReplicasDeadFailsCleanly)
+TEST(ClusterFailover, AllReplicasDeadFailsCleanly)
 {
     sim::Simulator sim;
-    std::vector<TinyStack> stacks;
-    std::vector<kv::Store *> stores;
-    for (uint64_t r = 0; r < 3; ++r) {
-        stacks.push_back(MakeTinyStack(sim, 3000 + r));
-        stores.push_back(stacks.back().store.get());
-    }
-    kv::ReplicatedKv rep(sim, stores);
-    bool put_ok = false;
-    rep.Put(5, 4096, [&](bool ok) { put_ok = ok; });
-    sim.Run();
-    ASSERT_TRUE(put_ok);
-    for (auto &s : stacks) {
-        for (uint32_t i = 0; i < s.store->slice_count(); ++i) {
-            s.store->slice(i).Flush();
-        }
-    }
-    sim.Run();
+    cluster::Cluster cl(sim, SmallCluster(3, 3));
+    ASSERT_EQ(cl.Preload(5, 4096).size(), 5u);
 
-    for (auto &s : stacks) KillDevice(*s.device);
-    // Every replica's storage errors out: the read must fail cleanly —
-    // and promptly — rather than hang.
+    KillNodeDevices(sim, cl, {0, 1, 2});
+    // Every replica's storage errors out: the read must fail cleanly,
+    // typed and promptly, rather than hang or report a miss.
     bool completed = false;
-    rep.Get(5, [&](const kv::GetResult &res) {
+    cl.router().Get(5, [&](const kv::GetResult &res) {
         completed = true;
         EXPECT_FALSE(res.ok);
         EXPECT_FALSE(res.found);
+        EXPECT_EQ(res.status, kv::OpStatus::kError);
     });
     sim.Run();
     EXPECT_TRUE(completed);
-    EXPECT_EQ(rep.stats().failed_reads, 1u);
+    EXPECT_EQ(cl.router().stats().failed_reads, 1u);
 }
 
-TEST(ReplicatedKv, PutSurvivesOneDeadReplica)
+TEST(ClusterFailover, PutSurvivesOneDeadReplica)
 {
     sim::Simulator sim;
-    std::vector<TinyStack> stacks;
-    std::vector<kv::Store *> stores;
-    for (uint64_t r = 0; r < 3; ++r) {
-        stacks.push_back(MakeTinyStack(sim, 2000 + r));
-        stores.push_back(stacks.back().store.get());
-    }
-    kv::ReplicatedKv rep(sim, stores);
-    KillDevice(*stacks[1].device);
+    cluster::Cluster cl(sim, SmallCluster(3, 3));
+    KillNodeDevices(sim, cl, {1});
 
-    bool put_ok = false;
-    rep.Put(9, 4096, [&](bool ok) { put_ok = ok; });
+    kv::OpStatus put = kv::OpStatus::kError;
+    cl.router().PutTyped(9, 4096, [&](kv::OpStatus s) { put = s; });
     sim.Run();
-    // Memtable writes ack even on the dead replica (its flush will fail
+    // Memtable writes ack even on the dead node (its flush will fail
     // later); the put must report overall success either way.
-    EXPECT_TRUE(put_ok);
+    EXPECT_EQ(put, kv::OpStatus::kOk);
     bool found = false;
-    rep.Get(9, [&](const kv::GetResult &res) { found = res.found; });
+    cl.router().Get(9, [&](const kv::GetResult &res) { found = res.found; });
     sim.Run();
     EXPECT_TRUE(found);
 }
@@ -552,10 +515,23 @@ TEST(FaultCampaign, NoDataLossAndAllRequestsComplete)
     const bench::FaultCampaignResult r =
         bench::RunFaultCampaign(SmallCampaign(5));
     EXPECT_EQ(r.faults.total() + r.faults.skipped, 100u);
+    EXPECT_EQ(r.keys_preloaded, 150u);
     EXPECT_GE(r.keys_stored, 150u);
     EXPECT_EQ(r.keys_lost, 0u);
     EXPECT_EQ(r.requests_issued, 340u);
     EXPECT_EQ(r.requests_completed, r.requests_issued);
+}
+
+TEST(FaultCampaign, ShortPreloadFailsTheVerdict)
+{
+    // A 1 ms attempt timeout times out the flood-style preload: the
+    // campaign must fail rather than audit only the keys that acked.
+    bench::FaultCampaignConfig cfg = SmallCampaign(5);
+    cfg.net.rpc_timeout = util::MsToNs(1);
+    const bench::FaultCampaignResult r = bench::RunFaultCampaign(cfg);
+    EXPECT_LT(r.keys_preloaded, cfg.keys);
+    EXPECT_EQ(r.requests_completed, r.requests_issued);
+    EXPECT_FALSE(bench::CampaignPassed(cfg, r));
 }
 
 TEST(FaultCampaign, FingerprintIsSeedDeterministic)

@@ -487,8 +487,9 @@ TEST_P(ClusterOrderingTest, PerKeyPutGetOrderPreservedAcrossRouter)
     std::function<void(uint64_t, int)> step = [&](uint64_t k, int i) {
         if (i == kChain) return;
         const uint32_t size = sizes[k][i];
-        cl.router().Put(100 + k, size, [&, k, i, size](bool ok) {
-            ASSERT_TRUE(ok) << "put failed for key " << k << " step " << i;
+        cl.router().PutTyped(100 + k, size, [&, k, i, size](kv::OpStatus s) {
+            ASSERT_EQ(s, kv::OpStatus::kOk)
+                << "put failed for key " << k << " step " << i;
             golden[k] = size;
             step(k, i + 1);
         });

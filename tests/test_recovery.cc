@@ -2,7 +2,7 @@
  * @file
  * Node recovery and ring rebalancing: restart durability (WAL replay +
  * patch-footer recovery + recovery scan), membership-epoch handling in
- * the replication engine, the rebalancer's ownership-delta computation
+ * the router's replica walk, the rebalancer's ownership-delta computation
  * (golden vnode-diff), anti-entropy redundancy repair, HashRing
  * membership edge cases, and a seeded chaos schedule — node stops and
  * restarts interleaved with overload bursts past the admission cap and
@@ -236,8 +236,9 @@ PutRange(sim::Simulator &sim, cluster::Cluster &cl, uint64_t first,
 {
     int acked = 0;
     for (uint64_t key = first; key <= last; ++key) {
-        cl.router().Put(key, value_bytes,
-                        [&acked](bool ok) { acked += ok; });
+        cl.router().PutTyped(key, value_bytes, [&acked](kv::OpStatus s) {
+            acked += s == kv::OpStatus::kOk;
+        });
     }
     sim.Run();
     ASSERT_EQ(acked, static_cast<int>(last - first + 1));
@@ -573,13 +574,14 @@ RunChaosSchedule(uint64_t seed, const std::vector<ChaosEvent> &schedule,
     auto put_batch = [&](uint32_t count) {
         for (uint32_t i = 0; i < count; ++i) {
             const uint64_t key = next_key++;
-            cl.router().Put(key, ChaosValueBytes(key), [&, key](bool ok) {
-                if (ok) {
+            auto done = [&, key](kv::OpStatus s) {
+                if (s == kv::OpStatus::kOk) {
                     acked_keys.push_back(key);
                 } else {
                     ++failed_puts;
                 }
-            });
+            };
+            cl.router().PutTyped(key, ChaosValueBytes(key), done);
         }
         sim.Run();
     };

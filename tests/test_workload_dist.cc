@@ -688,7 +688,10 @@ TEST(ClusterScan, SeesWritesCommittedBeforeTheScan)
     // Interleave: new keys (WAL/memtable-resident, never flushed) land
     // between scans; each scan must observe everything acked before it.
     uint64_t acked = 0;
-    cl.router().Put(101, 4 * util::kKiB, [&acked](bool ok) { acked += ok; });
+    auto count_ack = [&acked](kv::OpStatus s) {
+        acked += s == kv::OpStatus::kOk;
+    };
+    cl.router().PutTyped(101, 4 * util::kKiB, count_ack);
     sim.Run();
     ASSERT_EQ(acked, 1u);
     const auto r1 = ScanNow(sim, client, 100, 10);
@@ -697,8 +700,8 @@ TEST(ClusterScan, SeesWritesCommittedBeforeTheScan)
     EXPECT_EQ(r1.entries[0].key, 101u);
     EXPECT_EQ(r1.entries[0].value_size, 4 * util::kKiB);
 
-    cl.router().Put(100, 4 * util::kKiB, [&acked](bool ok) { acked += ok; });
-    cl.router().Put(102, 4 * util::kKiB, [&acked](bool ok) { acked += ok; });
+    cl.router().PutTyped(100, 4 * util::kKiB, count_ack);
+    cl.router().PutTyped(102, 4 * util::kKiB, count_ack);
     sim.Run();
     ASSERT_EQ(acked, 3u);
     const auto r2 = ScanNow(sim, client, 100, 10);
@@ -752,7 +755,9 @@ TEST(ClusterScan, ExactAcrossNodeRestart)
 
     // Writes during the downtime land on the survivors and must appear.
     uint64_t acked = 0;
-    cl.router().Put(31, 16 * util::kKiB, [&acked](bool ok) { acked += ok; });
+    cl.router().PutTyped(31, 16 * util::kKiB, [&acked](kv::OpStatus s) {
+        acked += s == kv::OpStatus::kOk;
+    });
     sim.Run();
     ASSERT_EQ(acked, 1u);
 

@@ -132,8 +132,9 @@ PrintHelp()
         "fault campaign (--workload=faults):\n"
         "  --fault-plan=<file>  replay a saved fault plan (else random)\n"
         "  --faults=<n>         random faults to inject (default 120)\n"
-        "  --replicas=<n>       replicated stacks, 1..8 (default 3)\n"
-        "  --keys=<n>           keys preloaded per replica (default 300)\n"
+        "  --replicas=<n>       nodes, each holding every key, 1..8 "
+        "(default 3)\n"
+        "  --keys=<n>           keys preloaded (default 300)\n"
         "  --reads=<n>          reads during the fault window (default 1500)\n"
         "\n"
         "cluster (--workload=cluster; the node, key and disruption flags\n"
@@ -529,19 +530,9 @@ RunFaults(Options &opt)
         cfg.ecc_bits = static_cast<uint32_t>(opt.ecc_bits);
     if (opt.retry_levels >= 0)
         cfg.read_retry_levels = static_cast<uint32_t>(opt.retry_levels);
-    if (!opt.fault_plan.empty()) {
-        std::FILE *f = std::fopen(opt.fault_plan.c_str(), "rb");
-        if (f == nullptr) {
-            std::fprintf(stderr, "cannot open fault plan %s\n",
-                         opt.fault_plan.c_str());
-            return 1;
-        }
-        char buf[4096];
-        size_t n;
-        while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) {
-            cfg.plan_text.append(buf, n);
-        }
-        std::fclose(f);
+    if (!opt.fault_plan.empty() &&
+        !bench::LoadCampaignPlan(opt.fault_plan, &cfg)) {
+        return 2;
     }
 
     std::printf("== fault campaign: %u-way replication, %s over %.0f ms, "
@@ -563,9 +554,7 @@ RunFaults(Options &opt)
     opt.obs.AddDerived("result.failovers",
                        static_cast<double>(r.failovers));
     if (const int rc = opt.obs.Export(); rc != 0) return rc;
-    return r.keys_lost == 0 && r.requests_completed == r.requests_issued
-               ? 0
-               : 1;
+    return bench::CampaignPassed(cfg, r) ? 0 : 1;
 }
 
 int
@@ -842,7 +831,7 @@ RunClusterLoad(Options &opt)
                 "%.1f MB/s (mean %.2f ms, p99 %.2f ms)\n",
                 read_mbps, r.read_mean_ms, r.read_p99_ms, write_mbps,
                 r.write_mean_ms, r.write_p99_ms);
-    const kv::ReplicatedKvStats &rs = cl.router().stats();
+    const cluster::ReplicationStats &rs = cl.router().stats();
     std::printf("replication: %llu degraded reads, %llu failed reads, "
                 "%llu re-replications, %llu put failures\n",
                 static_cast<unsigned long long>(rs.degraded_reads),
